@@ -149,9 +149,166 @@ type result = {
           sweeps can {!Sim.Metrics.merge} per-run registries *)
 }
 
+(* ---- post-run analysis ----
+
+   Each check walks every stable log and applied-write journal a fixed
+   number of times, newest record first, never copying one.  Lookups go
+   to a hash table or to a sorted-array index built in one of those
+   walks, so the checks cost O(n log n) in the run's length instead of
+   a rescan of a whole log per transaction. *)
+
+type final_state = {
+  n_sites : int;
+  workload : (float * Txn.t) list;
+  nodes : Node.t array;
+  alive : Core.Types.site -> bool;
+}
+
+(* A read-only set of ints: one sorted array, sized by a counting pass.
+   [of_fold fold] holds the elements [fold] visits, where [fold f acc]
+   folds [f] over them. *)
+module Int_set = struct
+  let of_fold (fold : (int -> int -> int) -> int -> int) =
+    let a = Array.make (fold (fun n _ -> n + 1) 0) 0 in
+    ignore (fold (fun i x -> a.(i) <- x; i + 1) 0);
+    Array.sort Int.compare a;
+    a
+
+  let mem a x =
+    let rec go lo hi =
+      lo < hi
+      &&
+      let mid = (lo + hi) / 2 in
+      let y = a.(mid) in
+      y = x || if y < x then go (mid + 1) hi else go lo mid
+    in
+    go 0 (Array.length a)
+end
+
+(* [(fates, contradiction, missing_applied)]: every transaction's outcome
+   across all stable logs, whether two logs disagree, and the committed
+   writes not applied at an operational participant (a down site applies
+   them on recovery). *)
+let outcomes final =
+  let fate_tbl : (int, txn_fate) Hashtbl.t = Hashtbl.create 64 in
+  List.iter (fun (_, (t : Txn.t)) -> Hashtbl.replace fate_tbl t.id Fate_pending) final.workload;
+  (* A transaction's fate is its first resolution in log order: sites in
+     turn, each log oldest first.  The walk below runs that order
+     backwards, so the resolution it writes last is that first one. *)
+  let contradiction = ref false in
+  for i = Array.length final.nodes - 1 downto 0 do
+    Kv_wal.fold_newest_first
+      (fun () r ->
+        match r with
+        | Kv_wal.C_decided { txn; commit } | Kv_wal.P_outcome { txn; commit } ->
+            let fate = if commit then Fate_committed else Fate_aborted in
+            (match Hashtbl.find_opt fate_tbl txn with
+            | Some ((Fate_committed | Fate_aborted) as f) when f <> fate -> contradiction := true
+            | _ -> ());
+            Hashtbl.replace fate_tbl txn fate
+        | _ -> ())
+      () final.nodes.(i).Node.wal
+  done;
+  let fates =
+    Hashtbl.fold (fun txn fate acc -> (txn, fate) :: acc) fate_tbl []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  in
+  let applied =
+    Array.map
+      (fun (n : Node.t) ->
+        if final.alive n.Node.site then
+          Int_set.of_fold (fun f init -> Storage.fold_applied f init n.Node.storage)
+        else [||])
+      final.nodes
+  in
+  (* a transaction is judged at its first occurrence in the workload;
+     dropping its entry once [fates] is read out skips repeats *)
+  let missing_applied =
+    List.fold_left
+      (fun acc (_, (t : Txn.t)) ->
+        match Hashtbl.find_opt fate_tbl t.id with
+        | Some Fate_committed ->
+            Hashtbl.remove fate_tbl t.id;
+            let writers =
+              List.filter_map
+                (function
+                  | Txn.Put (k, _) | Txn.Add (k, _) -> Some (Txn.owner ~n_sites:final.n_sites k)
+                  | Txn.Get _ -> None)
+                t.ops
+            in
+            let participants = Txn.participants ~n_sites:final.n_sites t in
+            List.fold_left
+              (fun acc site ->
+                if
+                  final.alive site && List.mem site writers
+                  && not (Int_set.mem applied.(site - 1) t.id)
+                then (t.id, site, participants) :: acc
+                else acc)
+              acc participants
+        | _ -> acc)
+      [] final.workload
+    |> List.sort compare
+  in
+  (fates, !contradiction, missing_applied)
+
+let in_doubt final =
+  Array.to_list final.nodes
+  |> List.concat_map (fun (n : Node.t) ->
+         if not (final.alive n.Node.site) then []
+         else
+           Hashtbl.fold
+             (fun txn (p : Node.p_txn) acc ->
+               match p.Node.status with
+               | Node.P_prepared | Node.P_precommitted ->
+                   (n.Node.site, txn, p.Node.participants) :: acc
+               | Node.P_working | Node.P_done _ -> acc)
+             n.Node.p_txns [])
+  |> List.sort compare
+
+(* Externally visible actions (recorded in the nodes' sticky tables at
+   send time, surviving crashes because the world cannot un-see a
+   message) judged against what each site's repaired stable log can
+   justify: a yes vote needs a prepared record (looked up in an index of
+   the log's prepared txns), and an announced outcome is contradicted by
+   any resolution of the other way (each found by one walk of the log
+   against the announcement table). *)
+let durability_breaches final =
+  Array.to_list final.nodes
+  |> List.concat_map (fun (n : Node.t) ->
+         let site = n.Node.site in
+         let prepared =
+           Int_set.of_fold (fun f init ->
+               Kv_wal.fold_newest_first
+                 (fun acc r -> match r with Kv_wal.P_prepared { txn; _ } -> f acc txn | _ -> acc)
+                 init n.Node.wal)
+         in
+         let unjustified_votes =
+           Hashtbl.fold
+             (fun txn () acc ->
+               if Int_set.mem prepared txn then acc
+               else (site, txn, "yes vote on the wire with no prepared record on the log") :: acc)
+             n.Node.sent_yes_txns []
+         in
+         let contradicted_announcements =
+           Kv_wal.fold_newest_first
+             (fun acc r ->
+               match r with
+               | Kv_wal.C_decided { txn; commit } | Kv_wal.P_outcome { txn; commit }
+                 when List.mem (not commit) (Hashtbl.find_all n.Node.announced_outcomes txn) ->
+                   ( site,
+                     txn,
+                     Printf.sprintf "announced %s but the log resolved the other way"
+                       (if commit then "abort" else "commit") )
+                   :: acc
+               | _ -> acc)
+             [] n.Node.wal
+         in
+         unjustified_votes @ contradicted_announcements)
+  |> List.sort_uniq compare
+
 (** [run cfg workload] executes [workload] (arrival-time, transaction)
     pairs and reports aggregate behaviour.  Deterministic in [cfg.seed]. *)
-let run (cfg : config) (workload : (float * Txn.t) list) : result =
+let run ?(inspect = ignore) (cfg : config) (workload : (float * Txn.t) list) : result =
   let world =
     Sim.World.create ~n_sites:cfg.n_sites ~seed:cfg.seed ~msg_to_string:Kv_msg.to_string ()
   in
@@ -284,116 +441,16 @@ let run (cfg : config) (workload : (float * Txn.t) list) : result =
           | None -> ())
         n.Node.p_txns)
     nodes;
-  (* ---- collect outcomes across all stable logs ---- *)
-  let fate_tbl : (int, txn_fate) Hashtbl.t = Hashtbl.create 64 in
-  let contradiction = ref false in
-  let note txn fate =
-    match Hashtbl.find_opt fate_tbl txn with
-    | None -> Hashtbl.replace fate_tbl txn fate
-    | Some f when f = fate -> ()
-    | Some Fate_pending -> Hashtbl.replace fate_tbl txn fate
-    | Some _ when fate = Fate_pending -> ()
-    | Some _ -> contradiction := true
-  in
-  List.iter (fun (_, txn) -> note txn.Txn.id Fate_pending) workload;
-  Array.iter
-    (fun wal ->
-      List.iter
-        (fun r ->
-          match r with
-          | Kv_wal.C_decided { txn; commit } | Kv_wal.P_outcome { txn; commit } ->
-              note txn (if commit then Fate_committed else Fate_aborted)
-          | _ -> ())
-        (Kv_wal.records wal))
-    wals;
-  (* committed writes must be applied at every participant site that is
-     currently operational (a down site applies them on recovery) *)
-  let missing_applied = ref [] in
-  Hashtbl.iter
-    (fun txn fate ->
-      if fate = Fate_committed then
-        match List.find_opt (fun (_, t) -> t.Txn.id = txn) workload with
-        | None -> ()
-        | Some (_, t) ->
-            let participants = Txn.participants ~n_sites:cfg.n_sites t in
-            List.iter
-              (fun site ->
-                if
-                  Sim.World.is_alive world site
-                  && Txn.ops_for ~n_sites:cfg.n_sites t ~site
-                     |> List.exists (function Txn.Put _ | Txn.Add _ -> true | Txn.Get _ -> false)
-                  && not (Storage.has_applied storages.(site - 1) ~txn)
-                then missing_applied := (txn, site, participants) :: !missing_applied)
-              participants)
-    fate_tbl;
-  let missing_applied = List.sort compare !missing_applied in
-  let fates =
-    Hashtbl.fold (fun txn fate acc -> (txn, fate) :: acc) fate_tbl [] |> List.sort compare
-  in
+  let final = { n_sites = cfg.n_sites; workload; nodes; alive = Sim.World.is_alive world } in
+  inspect final;
+  let fates, contradiction, missing_applied = outcomes final in
   let count f = List.length (List.filter (fun (_, x) -> x = f) fates) in
   let committed = count Fate_committed
   and aborted = count Fate_aborted
   and pending = count Fate_pending in
   let latencies = Array.to_list nodes |> List.concat_map (fun n -> n.Node.latencies) in
-  let in_doubt =
-    Array.to_list nodes
-    |> List.concat_map (fun (n : Node.t) ->
-           if not (Sim.World.is_alive world n.Node.site) then []
-           else
-             Hashtbl.fold
-               (fun txn (p : Node.p_txn) acc ->
-                 match p.Node.status with
-                 | Node.P_prepared | Node.P_precommitted ->
-                     (n.Node.site, txn, p.Node.participants) :: acc
-                 | Node.P_working | Node.P_done _ -> acc)
-               n.Node.p_txns [])
-    |> List.sort compare
-  in
-  (* ---- durability oracle inputs: externally visible actions (recorded
-     in the nodes' sticky tables at send time, surviving crashes because
-     the world cannot un-see a message) judged against what each site's
-     repaired stable log can justify ---- *)
-  let durability_breaches =
-    Array.to_list nodes
-    |> List.concat_map (fun (n : Node.t) ->
-           let recs = Kv_wal.records n.Node.wal in
-           let unjustified_votes =
-             Hashtbl.fold
-               (fun txn () acc ->
-                 if
-                   List.exists
-                     (function Kv_wal.P_prepared { txn = x; _ } -> x = txn | _ -> false)
-                     recs
-                 then acc
-                 else
-                   (n.Node.site, txn, "yes vote on the wire with no prepared record on the log")
-                   :: acc)
-               n.Node.sent_yes_txns []
-           in
-           let contradicted_announcements =
-             Hashtbl.fold
-               (fun txn commit acc ->
-                 let opposite =
-                   List.exists
-                     (function
-                       | Kv_wal.C_decided { txn = x; commit = c }
-                       | Kv_wal.P_outcome { txn = x; commit = c } ->
-                           x = txn && c <> commit
-                       | _ -> false)
-                     recs
-                 in
-                 if opposite then
-                   ( n.Node.site,
-                     txn,
-                     Printf.sprintf "announced %s but the log resolved the other way"
-                       (if commit then "commit" else "abort") )
-                   :: acc
-                 else acc)
-               n.Node.announced_outcomes []
-           in
-           unjustified_votes @ contradicted_announcements)
-    |> List.sort_uniq compare
-  in
+  let in_doubt = in_doubt final in
+  let durability_breaches = durability_breaches final in
   let metrics = Sim.World.metrics world in
   (* account interrupted measurements (e.g. kv_lock_wait timers of sites
      that crashed holding locks) before the registry is snapshot or
@@ -421,8 +478,8 @@ let run (cfg : config) (workload : (float * Txn.t) list) : result =
     messages_sent = Sim.Metrics.counter metrics "messages_sent";
     wal_forces;
     forces_per_commit;
-    atomicity_ok = (not !contradiction) && missing_applied = [];
-    outcome_contradiction = !contradiction;
+    atomicity_ok = (not contradiction) && missing_applied = [];
+    outcome_contradiction = contradiction;
     missing_applied;
     in_doubt;
     durability_breaches;

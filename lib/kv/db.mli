@@ -154,8 +154,21 @@ type result = {
           sweeps can {!Sim.Metrics.merge} per-run registries *)
 }
 
-val run : config -> (float * Txn.t) list -> result
+(** The sites' state when a run goes quiescent: what the post-run
+    atomicity and durability checks read.  Each node carries its
+    storage and its stable log. *)
+type final_state = {
+  n_sites : int;
+  workload : (float * Txn.t) list;
+  nodes : Node.t array;
+  alive : Core.Types.site -> bool;
+}
+
+val run : ?inspect:(final_state -> unit) -> config -> (float * Txn.t) list -> result
 (** Executes the workload ((arrival time, transaction) pairs).
-    Deterministic in the seed. *)
+    Deterministic in the seed.  [inspect] (default: ignore) sees the
+    final state once, before the checks that fill [fates],
+    [missing_applied], [in_doubt] and [durability_breaches] read it;
+    it lets tests run a second implementation of those checks. *)
 
 val pp_result : Format.formatter -> result -> unit

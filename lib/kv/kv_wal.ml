@@ -322,6 +322,13 @@ let repairs t = List.rev t.repair_log
 let records t = List.rev t.cache
 let length t = List.length t.cache
 
+let fold_newest_first f init t = List.fold_left f init t.cache
+
+(* The queries below read the newest-first [cache] in place: a right fold
+   over it visits the records oldest first, exactly as a left fold over
+   [records t] would, without copying the log on every call. *)
+let fold f init t = List.fold_right (fun r acc -> f acc r) t.cache init
+
 (** Participant-side classification of [txn] from the log. *)
 type p_class =
   | P_unknown  (** nothing logged: crashed before voting — unilateral abort *)
@@ -335,7 +342,7 @@ type p_class =
   | P_resolved of bool
 
 let classify_participant t ~txn : p_class =
-  List.fold_left
+  fold
     (fun acc r ->
       match r with
       | P_prepared { txn = x; coordinator; participants; writes; locks } when x = txn ->
@@ -346,7 +353,7 @@ let classify_participant t ~txn : p_class =
           | other -> other)
       | P_outcome { txn = x; commit } when x = txn -> P_resolved commit
       | _ -> acc)
-    P_unknown (records t)
+    P_unknown t
 
 (** Coordinator-side classification. *)
 type c_class =
@@ -356,7 +363,7 @@ type c_class =
   | C_resolved of { participants : Core.Types.site list; commit : bool; finished : bool }
 
 let classify_coordinator t ~txn : c_class =
-  List.fold_left
+  fold
     (fun acc r ->
       match (r, acc) with
       | C_begin { txn = x; participants; three_phase }, _ when x = txn ->
@@ -370,18 +377,18 @@ let classify_coordinator t ~txn : c_class =
       | C_finished { txn = x }, C_resolved res when x = txn ->
           C_resolved { res with finished = true }
       | _ -> acc)
-    C_unknown (records t)
+    C_unknown t
 
 (** Every transaction id mentioned as coordinator on this log. *)
 let coordinated_txns t =
-  List.filter_map (function C_begin { txn; _ } -> Some txn | _ -> None) (records t)
+  List.filter_map (function C_begin { txn; _ } -> Some txn | _ -> None) t.cache
   |> List.sort_uniq compare
 
 (** Paxos-Commit acceptor state for [txn]:
     (highest ballot promised or accepted, highest accepted (ballot, outcome)).
     [-1] when nothing was promised — every ballot outranks it. *)
 let acceptor_state t ~txn =
-  List.fold_left
+  fold
     (fun ((promised, accepted) as acc) r ->
       match r with
       | A_promised { txn = x; ballot } when x = txn -> (max promised ballot, accepted)
@@ -391,9 +398,9 @@ let acceptor_state t ~txn =
             | Some (b, _) when b >= ballot -> accepted
             | _ -> Some (ballot, commit) )
       | _ -> acc)
-    (-1, None) (records t)
+    (-1, None) t
 
 (** Every transaction id mentioned as participant on this log. *)
 let participated_txns t =
-  List.filter_map (function P_prepared { txn; _ } -> Some txn | _ -> None) (records t)
+  List.filter_map (function P_prepared { txn; _ } -> Some txn | _ -> None) t.cache
   |> List.sort_uniq compare

@@ -111,7 +111,14 @@ val repairs : t -> repair list
 (** Oldest first; one entry per crash that lost records or bytes. *)
 
 val records : t -> record list
+(** Oldest first; a fresh copy of the log. *)
+
 val length : t -> int
+
+val fold_newest_first : ('a -> record -> 'a) -> 'a -> t -> 'a
+(** [fold_newest_first f init t] is
+    [List.fold_left f init (List.rev (records t))], without copying the
+    log. *)
 
 (** Participant-side classification of a transaction from the log. *)
 type p_class =

@@ -33,6 +33,8 @@ let applied_txns t = List.rev_map fst t.applied |> List.sort_uniq compare
 
 let has_applied t ~txn = List.mem_assoc txn t.applied
 
+let fold_applied f init t = List.fold_left (fun acc (txn, _) -> f acc txn) init t.applied
+
 let keys t = Hashtbl.fold (fun k _ acc -> k :: acc) t.table [] |> List.sort compare
 
 let total t = Hashtbl.fold (fun _ v acc -> acc + v) t.table 0

@@ -18,6 +18,10 @@ val apply : t -> txn:int -> (key * int) list -> unit
 
 val applied_txns : t -> int list
 val has_applied : t -> txn:int -> bool
+
+val fold_applied : ('a -> int -> 'a) -> 'a -> t -> 'a
+(** Folds over the ids of every applied write set, newest first. *)
+
 val keys : t -> key list
 val total : t -> int
 (** Sum of all values — the bank-invariant probe. *)

@@ -140,6 +140,157 @@ let test_refuse_when_participant_down () =
     (List.mem_assoc "refused_participant_down" r.Kv.Db.metrics);
   Alcotest.(check bool) "atomicity" true r.Kv.Db.atomicity_ok
 
+(* One long fault-free run in the benchmark's kv-load configuration
+   (2,000 of its transactions, seed 1).  The digest covers everything a
+   CPU-only change to [Db.run] must leave byte-identical: the outcome
+   counts, messages, WAL forces, every fate and the deterministic metrics.
+   The pinned values were computed with the list-scan checks that
+   test/db_reference.ml keeps. *)
+let test_long_run_digest () =
+  let arrivals =
+    Kv.Workload.mixed (Sim.Rng.create ~seed:1)
+      {
+        Kv.Workload.n_txns = 2000;
+        arrival_rate = 3.0;
+        keys = 512;
+        ops_per_txn = 3;
+        write_ratio = 0.5;
+        zipf_skew = 0.0;
+      }
+  in
+  let cfg =
+    Kv.Db.config ~n_sites:4 ~protocol:Kv.Node.Three_phase ~seed:1 ~durable_wal:true
+      ~lock_wait_timeout:60.0 ~sync_latency:0.4
+      ~group_commit:{ Kv.Kv_wal.max_batch = 8; max_wait = 0.05 }
+      ~pipeline_depth:8 ()
+  in
+  let r = Kv.Db.run cfg arrivals in
+  let counts =
+    Fmt.str "c=%d a=%d p=%d msgs=%d forces=%d" r.Kv.Db.committed r.Kv.Db.aborted r.Kv.Db.pending
+      r.Kv.Db.messages_sent r.Kv.Db.wal_forces
+  in
+  Alcotest.(check string) "counts" "c=2000 a=0 p=0 msgs=27936 forces=21968" counts;
+  let fates =
+    String.concat ";"
+      (List.map (fun (t, f) -> Fmt.str "%d:%a" t Kv.Db.pp_txn_fate f) r.Kv.Db.fates)
+  in
+  let digest =
+    Fmt.str "%s fates=%s metrics=%s" counts fates
+      (Sim.Json.to_string (Sim.Metrics.to_json ~drop_wall:true r.Kv.Db.run_metrics))
+    |> Digest.string |> Digest.to_hex
+  in
+  Alcotest.(check string) "digest" "0db0f6f72a05b94a6d70ef527e4409dc" digest
+
+(* ---------------- post-run checks against the list-scan reference ---------------- *)
+
+let checks_of (r : Kv.Db.result) =
+  {
+    Db_reference.fates = r.Kv.Db.fates;
+    outcome_contradiction = r.Kv.Db.outcome_contradiction;
+    missing_applied = r.Kv.Db.missing_applied;
+    in_doubt = r.Kv.Db.in_doubt;
+    durability_breaches = r.Kv.Db.durability_breaches;
+  }
+
+(* [Db.run]'s checks and the reference's, over the same end state. *)
+let with_reference cfg workload =
+  let final = ref None in
+  let r = Kv.Db.run ~inspect:(fun f -> final := Some f) cfg workload in
+  (checks_of r, Db_reference.checks (Option.get !final))
+
+(* Chaos-style runs on both protocols: bank transfers under random crash
+   schedules with torn, corrupt and lying syncs, some sites never
+   recovering (in-doubt txns, committed writes missing at an operational
+   participant); pinned lying syncs each followed by a crash before the
+   next sync (unjustified votes; the last two also announce an outcome
+   the log resolves the other way, and so contradict another site's
+   log); and read/write transactions with the read-only optimization, so
+   that read-only participants, which apply nothing, are judged too. *)
+let test_checks_match_reference () =
+  let module KC = Kv.Chaos_db in
+  let module N = Sim.Nemesis in
+  let profile = { KC.default_profile with N.p_disk_fault = 0.7; lost_flush_weight = 4 } in
+  let random seed =
+    let root = Sim.Rng.create ~seed in
+    ignore (Sim.Rng.split root);
+    N.generate (Sim.Rng.split root) ~n_sites:4 ~k:2 profile
+  in
+  let lying_sync ~site ~nth ~crash_at =
+    [
+      N.Disk_fault { site; fault = Sim.Disk.Lost_flush; nth };
+      N.Crash { site; at = crash_at };
+      N.Recover { site; at = 40.0 };
+    ]
+  in
+  let bank seed = KC.workload_of ~seed in
+  let read_write seed =
+    Kv.Workload.mixed (Sim.Rng.create ~seed)
+      { Kv.Workload.default_spec with Kv.Workload.n_txns = 30; keys = 16; write_ratio = 0.4 }
+  in
+  let cases =
+    List.init 60 (fun seed -> (seed, random seed, bank, false))
+    @ List.concat_map
+        (fun site ->
+          List.init 4 (fun nth ->
+              (7, lying_sync ~site ~nth ~crash_at:(3.0 +. float_of_int nth), bank, false)))
+        [ 1; 2; 3; 4 ]
+    @ [
+        (7, lying_sync ~site:3 ~nth:4 ~crash_at:6.0, bank, false);
+        (7, lying_sync ~site:3 ~nth:5 ~crash_at:6.0, bank, false);
+      ]
+    @ List.init 10 (fun seed -> (seed, random seed, read_write, true))
+  in
+  let seen = Hashtbl.create 8 in
+  let saw what nonempty = if nonempty then Hashtbl.replace seen what () in
+  List.iter
+    (fun protocol ->
+      List.iter
+        (fun (seed, schedule, workload, read_only_opt) ->
+          let crashes, recoveries, partitions, msg_faults, disk_faults, _, _ = KC.lower schedule in
+          let cfg =
+            Kv.Db.config ~n_sites:4 ~protocol ~read_only_opt ~seed ~until:3000.0 ~crashes
+              ~recoveries ~partitions ~msg_faults ~disk_faults
+              ~initial_data:(Kv.Workload.bank_initial ~accounts:8 ~initial_balance:100)
+              ()
+          in
+          let got, want = with_reference cfg (workload seed) in
+          let name =
+            Fmt.str "%s seed %d read-only-opt %b [%s]" (Kv.Node.show_protocol protocol) seed
+              read_only_opt (N.to_string schedule)
+          in
+          Alcotest.(check bool) (name ^ ": fates") true (got.fates = want.fates);
+          Alcotest.(check bool)
+            (name ^ ": outcome contradiction")
+            want.outcome_contradiction got.outcome_contradiction;
+          Alcotest.(check bool) (name ^ ": missing applied") true
+            (got.missing_applied = want.missing_applied);
+          Alcotest.(check bool) (name ^ ": in doubt") true (got.in_doubt = want.in_doubt);
+          Alcotest.(check bool)
+            (name ^ ": durability breaches")
+            true
+            (got.durability_breaches = want.durability_breaches);
+          saw "missing applied" (want.missing_applied <> []);
+          saw "in doubt" (want.in_doubt <> []);
+          saw "outcome contradiction" want.outcome_contradiction;
+          List.iter
+            (fun (_, _, what) ->
+              saw
+                (if String.starts_with ~prefix:"yes vote" what then "unjustified vote"
+                 else "contradicted announcement")
+                true)
+            want.durability_breaches)
+        cases)
+    [ Kv.Node.Two_phase; Kv.Node.Three_phase ];
+  List.iter
+    (fun what -> Alcotest.(check bool) (what ^ " seen") true (Hashtbl.mem seen what))
+    [
+      "missing applied";
+      "in doubt";
+      "outcome contradiction";
+      "unjustified vote";
+      "contradicted announcement";
+    ]
+
 let suite =
   [
     Alcotest.test_case "bank, 3PC, no failures" `Quick test_bank_no_failures_3pc;
@@ -156,4 +307,6 @@ let suite =
       test_deadlocks_cause_unilateral_aborts;
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "down participants refused" `Quick test_refuse_when_participant_down;
+    Alcotest.test_case "long kv-load run: pinned digest" `Quick test_long_run_digest;
+    Alcotest.test_case "post-run checks = list-scan reference" `Quick test_checks_match_reference;
   ]

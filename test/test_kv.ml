@@ -108,6 +108,58 @@ let test_kv_wal_txn_listing () =
   Alcotest.(check (list int)) "coordinated" [ 1 ] (Kv.Kv_wal.coordinated_txns w);
   Alcotest.(check (list int)) "participated" [ 2 ] (Kv.Kv_wal.participated_txns w)
 
+(* The in-place log queries against their first, copying versions
+   ({!Kv_wal_reference}), on random logs over four txn ids.  Every log
+   holds one txn prepared twice, around arbitrary other records, so
+   repeated ids and re-prepared txns are always present. *)
+let prop_kv_wal_queries_match_reference =
+  let module KW = Kv.Kv_wal in
+  let open QCheck2.Gen in
+  let txn = int_range 0 3 in
+  let site = int_range 1 4 in
+  let prepared t =
+    let* c = site and* ps = small_list site and* v = int_range (-5) 5 in
+    return
+      (KW.P_prepared
+         { txn = t; coordinator = c; participants = ps; writes = [ ("k", v) ];
+           locks = [ ("k", Kv.Lock_table.Exclusive) ] })
+  in
+  let record =
+    oneof
+      [
+        txn >>= prepared;
+        map (fun t -> KW.P_precommitted { txn = t }) txn;
+        map2 (fun t c -> KW.P_outcome { txn = t; commit = c }) txn bool;
+        (let* t = txn and* ps = small_list site and* three_phase = bool in
+         return (KW.C_begin { txn = t; participants = ps; three_phase }));
+        map (fun t -> KW.C_precommitted { txn = t }) txn;
+        map2 (fun t c -> KW.C_decided { txn = t; commit = c }) txn bool;
+        map (fun t -> KW.C_finished { txn = t }) txn;
+        map2 (fun t b -> KW.A_promised { txn = t; ballot = b }) txn (int_range 0 3);
+        (let* t = txn and* b = int_range 0 3 and* c = bool in
+         return (KW.A_accepted { txn = t; ballot = b; commit = c }));
+      ]
+  in
+  let log =
+    let* t = txn in
+    let* first = prepared t and* again = prepared t in
+    let* a = list_size (int_range 0 15) record
+    and* b = list_size (int_range 0 15) record
+    and* c = list_size (int_range 0 15) record in
+    return (a @ [ first ] @ b @ [ again ] @ c)
+  in
+  Helpers.qtest ~count:500 "kv_wal queries = copying reference" log (fun records ->
+      let w = KW.create ~durable:false () in
+      List.iter (KW.append w) records;
+      KW.coordinated_txns w = Kv_wal_reference.coordinated_txns w
+      && KW.participated_txns w = Kv_wal_reference.participated_txns w
+      && List.for_all
+           (fun txn ->
+             KW.classify_participant w ~txn = Kv_wal_reference.classify_participant w ~txn
+             && KW.classify_coordinator w ~txn = Kv_wal_reference.classify_coordinator w ~txn
+             && KW.acceptor_state w ~txn = Kv_wal_reference.acceptor_state w ~txn)
+           [ -1; 0; 1; 2; 3; 4 ])
+
 (* ---------------- Workload ---------------- *)
 
 let test_workload_mixed_properties () =
@@ -157,6 +209,7 @@ let suite =
     Alcotest.test_case "participant log classification" `Quick test_kv_wal_participant_classification;
     Alcotest.test_case "coordinator log classification" `Quick test_kv_wal_coordinator_classification;
     Alcotest.test_case "log transaction listing" `Quick test_kv_wal_txn_listing;
+    prop_kv_wal_queries_match_reference;
     Alcotest.test_case "mixed workload properties" `Quick test_workload_mixed_properties;
     Alcotest.test_case "bank transfers conserve money" `Quick test_workload_bank_conservation;
     Alcotest.test_case "zipf skew" `Quick test_workload_zipf_skew;

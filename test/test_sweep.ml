@@ -112,6 +112,42 @@ let test_kv_sweep_workers_unobservable () =
   Alcotest.(check string) "merged deterministic metrics"
     (det_json seq.KC.metrics) (det_json par.KC.metrics)
 
+(* 200 seeds at 2 and 4 workers, three times each, against the
+   sequential sweep, byte for byte: the counterexamples or failing seeds
+   and the deterministic metrics, on both harnesses.  Every worker
+   computes WAL checksums, so what the domains share, such as the CRC
+   table, must be ready before any of them starts. *)
+let repeated_parallel_sweeps_match ~render sweep =
+  let seq = render (sweep ~workers:1) in
+  List.iter
+    (fun workers ->
+      for round = 1 to 3 do
+        Alcotest.(check string)
+          (Fmt.str "workers=%d round %d" workers round)
+          seq
+          (render (sweep ~workers))
+      done)
+    [ 2; 4 ]
+
+let test_engine_parallel_sweeps_repeat () =
+  let rb = Engine.Rulebook.compile (Core.Catalog.central_3pc 3) in
+  repeated_parallel_sweeps_match
+    ~render:(fun (s : C.summary) ->
+      Marshal.to_string
+        (s.C.seeds_run, s.C.counterexamples, s.C.violations_by_oracle)
+        [ Marshal.No_sharing ]
+      ^ det_json s.C.metrics)
+    (fun ~workers -> C.sweep rb ~workers ~k:1 ~seeds:200 ())
+
+let test_kv_parallel_sweeps_repeat () =
+  repeated_parallel_sweeps_match
+    ~render:(fun (s : KC.summary) ->
+      Marshal.to_string (s.KC.seeds_run, s.KC.failing, s.KC.violations_by_oracle)
+        [ Marshal.No_sharing ]
+      ^ det_json s.KC.metrics)
+    (fun ~workers ->
+      KC.sweep ~protocol:Kv.Node.Three_phase ~n_sites:4 ~workers ~k:1 ~seeds:200 ())
+
 (* the per-seed rng is derived from the seed alone (root [Rng.create
    ~seed], streams forked with [Rng.split]), so the values a seed draws
    cannot depend on which worker ran it or on what other seeds did *)
@@ -144,6 +180,10 @@ let suite =
     Alcotest.test_case "engine chaos: workers unobservable" `Quick
       test_engine_sweep_workers_unobservable;
     Alcotest.test_case "kv chaos: workers unobservable" `Quick test_kv_sweep_workers_unobservable;
+    Alcotest.test_case "engine chaos: repeated parallel sweeps = sequential" `Quick
+      test_engine_parallel_sweeps_repeat;
+    Alcotest.test_case "kv chaos: repeated parallel sweeps = sequential" `Quick
+      test_kv_parallel_sweeps_repeat;
     Alcotest.test_case "per-seed rng independent of sharding" `Quick
       test_seed_stream_worker_independent;
   ]
