@@ -144,44 +144,51 @@ let safety_rows ~seeds rb =
   let eng name f =
     (name, fun () -> let s = f () in List.length s.C.violations_by_oracle = 0)
   in
-  let ksweep ?profile ?presumption ?read_only_opt ?group_commit ?sync_latency ?pipeline_depth
-      ?detector () =
-    KC.sweep ?profile ?presumption ?read_only_opt ?group_commit ?sync_latency ?pipeline_depth
-      ?detector ~durable_wal:true ~n_sites:4 ~workers ~k:1 ~seeds ()
+  let ksweep ?profile config = KC.sweep ?profile ~config ~workers ~k:1 ~seeds () in
+  let esweep ?profile config = C.sweep ?profile ~config rb ~workers ~k:1 ~seeds () in
+  let kv_base = KC.default_config in
+  let kv_all =
+    {
+      kv_base with
+      Kv.Db.presumption = KN.Presume_commit;
+      read_only_opt = true;
+      group_commit = Some gc;
+      sync_latency = 0.3;
+      pipeline_depth = 4;
+    }
   in
-  let esweep ?profile ?presumption ?read_only ?group_commit ?sync_latency ?detector () =
-    C.sweep ?profile ?presumption ?read_only ?group_commit ?sync_latency ?detector rb ~workers
-      ~k:1 ~seeds ()
+  let eng_base = C.default_config rb in
+  let eng_all =
+    {
+      eng_base with
+      R.presumption = R.Presume_abort;
+      read_only = [ 2 ];
+      group_commit = Some egc;
+      sync_latency = 0.3;
+    }
   in
   [
-    kv "kv chaos: presume-abort" (fun () -> ksweep ~presumption:KN.Presume_abort ());
+    kv "kv chaos: presume-abort" (fun () ->
+        ksweep { kv_base with Kv.Db.presumption = KN.Presume_abort });
     kv "kv chaos: presume-commit + read-only" (fun () ->
-        ksweep ~presumption:KN.Presume_commit ~read_only_opt:true ());
+        ksweep { kv_base with Kv.Db.presumption = KN.Presume_commit; read_only_opt = true });
     kv "kv chaos: group-commit + pipelining" (fun () ->
-        ksweep ~group_commit:gc ~sync_latency:0.3 ~pipeline_depth:4 ());
-    kv "kv chaos: all levers" (fun () ->
-        ksweep ~presumption:KN.Presume_commit ~read_only_opt:true ~group_commit:gc
-          ~sync_latency:0.3 ~pipeline_depth:4 ());
-    kv "kv durability: all levers" (fun () ->
-        ksweep ~profile:kv_faulty ~presumption:KN.Presume_commit ~read_only_opt:true
-          ~group_commit:gc ~sync_latency:0.3 ~pipeline_depth:4 ());
-    kv "kv detector: all levers" (fun () ->
-        ksweep ~detector:true ~presumption:KN.Presume_commit ~read_only_opt:true ~group_commit:gc
-          ~sync_latency:0.3 ~pipeline_depth:4 ());
-    eng "engine chaos: presume-abort" (fun () -> esweep ~presumption:R.Presume_abort ());
-    eng "engine chaos: presume-commit" (fun () -> esweep ~presumption:R.Presume_commit ());
-    eng "engine chaos: read-only participant" (fun () -> esweep ~read_only:[ 2 ] ());
+        ksweep
+          { kv_base with Kv.Db.group_commit = Some gc; sync_latency = 0.3; pipeline_depth = 4 });
+    kv "kv chaos: all levers" (fun () -> ksweep kv_all);
+    kv "kv durability: all levers" (fun () -> ksweep ~profile:kv_faulty kv_all);
+    kv "kv detector: all levers" (fun () -> ksweep { kv_all with Kv.Db.detector = true });
+    eng "engine chaos: presume-abort" (fun () ->
+        esweep { eng_base with R.presumption = R.Presume_abort });
+    eng "engine chaos: presume-commit" (fun () ->
+        esweep { eng_base with R.presumption = R.Presume_commit });
+    eng "engine chaos: read-only participant" (fun () ->
+        esweep { eng_base with R.read_only = [ 2 ] });
     eng "engine chaos: group-commit + sync latency" (fun () ->
-        esweep ~group_commit:egc ~sync_latency:0.3 ());
-    eng "engine chaos: all levers" (fun () ->
-        esweep ~presumption:R.Presume_abort ~read_only:[ 2 ] ~group_commit:egc ~sync_latency:0.3
-          ());
-    eng "engine durability: all levers" (fun () ->
-        esweep ~profile:faulty ~presumption:R.Presume_abort ~read_only:[ 2 ] ~group_commit:egc
-          ~sync_latency:0.3 ());
-    eng "engine detector: all levers" (fun () ->
-        esweep ~detector:true ~presumption:R.Presume_abort ~read_only:[ 2 ] ~group_commit:egc
-          ~sync_latency:0.3 ());
+        esweep { eng_base with R.group_commit = Some egc; sync_latency = 0.3 });
+    eng "engine chaos: all levers" (fun () -> esweep eng_all);
+    eng "engine durability: all levers" (fun () -> esweep ~profile:faulty eng_all);
+    eng "engine detector: all levers" (fun () -> esweep { eng_all with R.detector = true });
   ]
 
 (* ---------------- driver ---------------- *)

@@ -32,6 +32,12 @@ module N = Sim.Nemesis
 module KC = Kv.Chaos_db
 module M = Sim.Metrics
 
+(* the timeout detector on each harness, with fencing unless told otherwise *)
+let detector ?(fencing = true) rb =
+  { (C.default_config rb) with Engine.Runtime.detector = true; fencing }
+
+let kv_detector_config = { KC.default_config with Kv.Db.detector = true }
+
 let time = Helpers_bench.time
 let rate = Helpers_bench.rate
 let count_for = Helpers_bench.count_for
@@ -46,29 +52,9 @@ let workers = Helpers_bench.arg_int "--workers" ~default:1 Sys.argv
    - margin] so a spike alone cannot partition the survivors into
    mutually suspecting halves — that regime is measured separately by
    the timeout sweep. *)
-let detector_profile =
-  {
-    N.default_profile with
-    N.p_delay_spike = 0.4;
-    spike_extra_min = 1.0;
-    spike_extra_max = 3.5;
-    p_stall = 0.45;
-    p_hb_loss = 0.5;
-    detector_window_min = 4.0;
-    detector_window_max = 14.0;
-  }
+let detector_profile = N.with_detector_faults N.default_profile
 
-let kv_detector_profile =
-  {
-    KC.default_profile with
-    N.p_delay_spike = 0.4;
-    spike_extra_min = 1.0;
-    spike_extra_max = 3.5;
-    p_stall = 0.45;
-    p_hb_loss = 0.5;
-    detector_window_min = 4.0;
-    detector_window_max = 14.0;
-  }
+let kv_detector_profile = N.with_detector_faults KC.default_profile
 
 (* The fencing ablation, pinned (experiment E19).  Coordinator crashes
    having precommitted site 2 only; site 3 terminates at epoch 2,
@@ -96,8 +82,8 @@ let timeout_row ~seeds suspicion_timeout =
   let violations = ref [] in
   for seed = 0 to seeds - 1 do
     let o =
-      C.run_one ~metrics ~profile:detector_profile ~detector:true ~suspicion_timeout rb ~k:1
-        ~seed ()
+      C.run_one ~metrics ~profile:detector_profile
+        ~config:{ (detector rb) with Engine.Runtime.suspicion_timeout } rb ~k:1 ~seed ()
     in
     if o.C.result.Engine.Runtime.duration > 0.0 then
       durations := o.C.result.Engine.Runtime.duration :: !durations;
@@ -146,7 +132,8 @@ let engine_detector_sweep ~seeds =
   Fmt.epr "detector sweep: central-3pc n=3 k=1 x%d...@." seeds;
   let rb = Engine.Rulebook.compile (Core.Catalog.central_3pc 3) in
   let summary, wall =
-    time (fun () -> C.sweep ~profile:detector_profile ~detector:true rb ~workers ~k:1 ~seeds ())
+    time (fun () ->
+        C.sweep ~profile:detector_profile ~config:(detector rb) rb ~workers ~k:1 ~seeds ())
   in
   let by = summary.C.violations_by_oracle in
   let m = summary.C.metrics in
@@ -181,7 +168,7 @@ let kv_detector_sweep ~seeds =
   Fmt.epr "detector sweep: kv central-3pc n=4 k=1 x%d...@." seeds;
   let summary, wall =
     time (fun () ->
-        KC.sweep ~profile:kv_detector_profile ~n_sites:4 ~detector:true ~workers ~k:1 ~seeds ())
+        KC.sweep ~profile:kv_detector_profile ~config:kv_detector_config ~workers ~k:1 ~seeds ())
   in
   let by = summary.KC.violations_by_oracle in
   let safety =
@@ -213,13 +200,13 @@ let fencing_ablation_row () =
   Fmt.epr "ablation: no-fencing pinned plan...@.";
   let rb = rb4 () in
   let plan = FP.of_string_exn fencing_pinned in
-  let _, unfenced = C.run_plan ~detector:true ~fencing:false rb ~plan ~seed:1 () in
-  let _, fenced = C.run_plan ~detector:true ~fencing:true rb ~plan ~seed:1 () in
+  let _, unfenced = C.run_plan ~config:(detector ~fencing:false rb) rb ~plan ~seed:1 () in
+  let _, fenced = C.run_plan ~config:(detector rb) rb ~plan ~seed:1 () in
   let minimal, shrink_runs =
-    C.shrink ~detector:true ~fencing:false rb ~seed:1 ~oracle:C.Atomicity plan
+    C.shrink ~config:(detector ~fencing:false rb) rb ~seed:1 ~oracle:C.Atomicity plan
   in
   let reloaded = FP.of_string_exn (FP.to_string minimal) in
-  let _, replay = C.run_plan ~detector:true ~fencing:false rb ~plan:reloaded ~seed:1 () in
+  let _, replay = C.run_plan ~config:(detector ~fencing:false rb) rb ~plan:reloaded ~seed:1 () in
   Sim.Json.Obj
     [
       ("ablation", Sim.Json.Str "no-fencing");
@@ -260,12 +247,12 @@ let check what ok =
 let smoke () =
   let rb3 = Engine.Rulebook.compile (Core.Catalog.central_3pc 3) in
   (* detector-fault sweeps must stay safety-clean under fencing *)
-  let s = C.sweep ~profile:detector_profile ~detector:true rb3 ~workers ~k:1 ~seeds:60 () in
+  let s = C.sweep ~profile:detector_profile ~config:(detector rb3) rb3 ~workers ~k:1 ~seeds:60 () in
   check "engine detector sweep violated safety" (safety_clean s.C.violations_by_oracle);
   check "engine detector sweep suspected nobody falsely"
     (M.counter s.C.metrics "false_suspicions" > 0);
   let skv =
-    KC.sweep ~profile:kv_detector_profile ~n_sites:4 ~detector:true ~workers ~k:1 ~seeds:20 ()
+    KC.sweep ~profile:kv_detector_profile ~config:kv_detector_config ~workers ~k:1 ~seeds:20 ()
   in
   check "kv detector sweep violated safety"
     (count_for skv.KC.violations_by_oracle KC.Atomicity = 0
@@ -273,14 +260,14 @@ let smoke () =
   (* the fencing ablation must be caught, and only the ablation *)
   let rb = rb4 () in
   let plan = FP.of_string_exn fencing_pinned in
-  let _, unfenced = C.run_plan ~detector:true ~fencing:false rb ~plan ~seed:1 () in
+  let _, unfenced = C.run_plan ~config:(detector ~fencing:false rb) rb ~plan ~seed:1 () in
   check "no-fencing ablation not caught by the atomicity oracle" (has_atomicity unfenced);
-  let _, fenced = C.run_plan ~detector:true ~fencing:true rb ~plan ~seed:1 () in
+  let _, fenced = C.run_plan ~config:(detector rb) rb ~plan ~seed:1 () in
   check "fencing failed to stop the stale backup" (not (has_atomicity fenced));
-  let minimal, _ = C.shrink ~detector:true ~fencing:false rb ~seed:1 ~oracle:C.Atomicity plan in
+  let unfenced_config = detector ~fencing:false rb in
+  let minimal, _ = C.shrink ~config:unfenced_config rb ~seed:1 ~oracle:C.Atomicity plan in
   let _, replay =
-    C.run_plan ~detector:true ~fencing:false rb ~plan:(FP.of_string_exn (FP.to_string minimal))
-      ~seed:1 ()
+    C.run_plan ~config:unfenced_config rb ~plan:(FP.of_string_exn (FP.to_string minimal)) ~seed:1 ()
   in
   check "shrunk no-fencing plan does not replay through its text form" (has_atomicity replay);
   if !failures > 0 then begin

@@ -37,6 +37,9 @@ let workers = Helpers_bench.arg_int "--workers" ~default:1 Sys.argv
 let faulty_profile = { N.default_profile with N.p_disk_fault = 0.6 }
 let kv_faulty_profile = { KC.default_profile with N.p_disk_fault = 0.6 }
 
+(* the mis-placed force point the durability oracle must catch *)
+let late_force rb = { (C.default_config rb) with Engine.Runtime.late_force = true }
+
 let late_force_pinned = "step-crash site=2 step=0 mode=after-logging:1"
 
 let lost_flush_pinned =
@@ -160,7 +163,10 @@ let engine_overhead_row seeds =
 let kv_overhead_row seeds =
   Fmt.epr "overhead: kv sweeps x%d (memory vs durable vs faulted)...@." seeds;
   let sweep ?profile ~durable_wal () =
-    time (fun () -> ignore (KC.sweep ?profile ~n_sites:4 ~workers ~k:1 ~seeds ~durable_wal ()))
+    time (fun () ->
+        ignore
+          (KC.sweep ?profile ~config:{ KC.default_config with Kv.Db.durable_wal } ~workers ~k:1
+             ~seeds ()))
   in
   let (), mem = sweep ~durable_wal:false () in
   let (), dur = sweep ~durable_wal:true () in
@@ -232,7 +238,7 @@ let late_force_row () =
   let rec hunt seed =
     if seed > 200 then None
     else
-      let o = C.run_one ~late_force:true rb ~k:1 ~seed () in
+      let o = C.run_one ~config:(late_force rb) rb ~k:1 ~seed () in
       if has_durability o.C.violations then Some (seed, o.C.plan) else hunt (seed + 1)
   in
   match hunt 0 with
@@ -240,9 +246,10 @@ let late_force_row () =
       Sim.Json.Obj
         [ ("ablation", Sim.Json.Str "late-force"); ("caught", Sim.Json.Bool false) ]
   | Some (seed, plan) ->
-      let minimal, shrink_runs = C.shrink ~late_force:true rb ~seed ~oracle:C.Durability plan in
+      let config = late_force rb in
+      let minimal, shrink_runs = C.shrink ~config rb ~seed ~oracle:C.Durability plan in
       let reloaded = FP.of_string_exn (FP.to_string minimal) in
-      let _, replay = C.run_plan ~late_force:true rb ~plan:reloaded ~seed () in
+      let _, replay = C.run_plan ~config rb ~plan:reloaded ~seed () in
       Sim.Json.Obj
         [
           ("ablation", Sim.Json.Str "late-force");
@@ -333,7 +340,7 @@ let smoke () =
   check "kv central-3pc reported violations under disk faults" (skv.KC.violations_by_oracle = []);
   (* the late-force ablation must be caught, and only the ablation *)
   let plan = FP.of_string_exn late_force_pinned in
-  let _, late = C.run_plan ~late_force:true rb_c3 ~plan ~seed:7 () in
+  let _, late = C.run_plan ~config:(late_force rb_c3) rb_c3 ~plan ~seed:7 () in
   check "late force not caught by the durability oracle" (has_durability late);
   let _, correct = C.run_plan rb_c3 ~plan ~seed:7 () in
   check "correct force order tripped the durability oracle" (not (has_durability correct));
@@ -346,7 +353,9 @@ let smoke () =
   List.iter
     (fun seed ->
       let a = KC.run_one ~n_sites:4 ~k:1 ~seed () in
-      let b = KC.run_one ~n_sites:4 ~k:1 ~seed ~durable_wal:false () in
+      let b =
+        KC.run_one ~config:{ KC.default_config with Kv.Db.durable_wal = false } ~k:1 ~seed ()
+      in
       check
         (Fmt.str "kv seed %d: durable and in-memory runs diverge" seed)
         (a.KC.result.Kv.Db.committed = b.KC.result.Kv.Db.committed

@@ -97,8 +97,11 @@ let engine_2pc () =
 let engine_3pc () =
   Engine.Explore.engine_harness ~k:1 (Engine.Rulebook.compile (Core.Catalog.central_3pc 3))
 
-let kv_2pc () = Helpers_bench.kv_harness ~protocol:Kv.Node.Two_phase ~fencing:true ~k:1 ()
-let kv_3pc () = Helpers_bench.kv_harness ~protocol:Kv.Node.Three_phase ~fencing:true ~k:1 ()
+let kv_harness protocol =
+  Kv.Chaos_db.harness ~config:{ Kv.Chaos_db.default_config with Kv.Db.protocol } ~k:1 ()
+
+let kv_2pc () = kv_harness Kv.Node.Two_phase
+let kv_3pc () = kv_harness Kv.Node.Three_phase
 
 (* ---------------- full bench ---------------- *)
 

@@ -134,7 +134,8 @@ let matrix_cell family (class_name, plan_of) =
           let rb = Lazy.force (if family = Two_pc then rb_2pc else rb_3pc) in
           (* detector + fencing are the PR-5/PR-6 termination levers the
              split-brain plan was built to exercise *)
-          let r, vs = EC.run_plan ~detector:true ~fencing:true rb ~plan ~seed:35 () in
+          let config = { (EC.default_config rb) with Engine.Runtime.detector = true } in
+          let r, vs = EC.run_plan ~config rb ~plan ~seed:35 () in
           let d = r.Engine.Runtime.all_operational_decided in
           (status ~decided:d vs, Sim.Json.Bool d, vs)
       | Paxos f ->

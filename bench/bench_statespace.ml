@@ -4,7 +4,7 @@
     and writes states/sec, peak resident states and wall time to
     [BENCH_statespace.json], so every future PR has a perf trajectory to
     beat.  A few small configurations are also run through the
-    string-keyed reference engine ([Engine.Model_check_ref]) to report
+    string-keyed reference engine ([Reference.Model_check_ref]) to report
     the interning speedup.
 
     [--smoke] instead runs a seconds-long configuration sweep that
@@ -142,7 +142,7 @@ let bench_speedup () =
           (List.hd runs) (List.tl runs)
       in
       let a, tn = best (fun () -> Engine.Model_check.run cfg) in
-      let b, tr = best (fun () -> Engine.Model_check_ref.run cfg) in
+      let b, tr = best (fun () -> Reference.Model_check_ref.run cfg) in
       assert (a.Engine.Model_check.explored = b.Engine.Model_check.explored);
       Sim.Json.Obj
         [
@@ -187,7 +187,7 @@ let smoke () =
                       max_crashes = k; limit = mc_limit; rule }
                   in
                   let a = Engine.Model_check.run cfg in
-                  let b = Engine.Model_check_ref.run cfg in
+                  let b = Reference.Model_check_ref.run cfg in
                   let ok =
                     a.Engine.Model_check.explored = b.Engine.Model_check.explored
                     && a.Engine.Model_check.safe = b.Engine.Model_check.safe

@@ -216,6 +216,18 @@ let simulate_cmd =
 
 (* ---------------- chaos ---------------- *)
 
+(* The database harness's protocols, by CLI label. *)
+let kv_protocol ~cmd label f =
+  match label with
+  | "central-2pc" -> Kv.Node.Two_phase
+  | "central-3pc" -> Kv.Node.Three_phase
+  | "paxos-commit" -> Kv.Node.Paxos f
+  | other ->
+      Fmt.epr "skeen %s --kv: unsupported protocol %s (use central-2pc, central-3pc or \
+               paxos-commit)@."
+        cmd other;
+      exit 2
+
 let chaos_cmd =
   let protocol_opt =
     Arg.(
@@ -274,7 +286,8 @@ let chaos_cmd =
           ~doc:
             "Run one explicit failure plan (the $(b,Failure_plan.to_string) syntax a shrunk \
              counterexample is printed in, e.g. 'crash site=1 at=2; msg nth=4 fault=dup') \
-             instead of generating schedules.")
+             instead of generating schedules.  With $(b,--kv) it runs as a nemesis schedule \
+             on workload seed $(b,--seed); step-pinned crash clauses are refused there.")
   in
   let partitions_arg =
     Arg.(
@@ -410,18 +423,6 @@ let chaos_cmd =
       & info [ "sync-latency" ] ~docv:"T"
           ~doc:"Simulated disk sync latency in seconds (0 = synchronous forces).")
   in
-  let detector_profile base =
-    {
-      base with
-      Sim.Nemesis.p_delay_spike = 0.4;
-      spike_extra_min = 1.0;
-      spike_extra_max = 3.5;
-      p_stall = 0.45;
-      p_hb_loss = 0.5;
-      detector_window_min = 4.0;
-      detector_window_max = 14.0;
-    }
-  in
   let storage_profile base ~disk_faults ~lost_flush =
     if disk_faults || lost_flush > 0 then
       { base with Sim.Nemesis.p_disk_fault = 0.6; lost_flush_weight = lost_flush }
@@ -443,77 +444,41 @@ let chaos_cmd =
             List.iter (fun m -> Fmt.epr "skeen chaos: %s@." m) msgs;
             exit 2)
   in
-  let run_kv label n f k seeds seed_base workers until replay partitions drops quorum ~disk_faults
-      ~lost_flush ~detector ~fencing ~detector_faults ~presumption ~read_only_opt ~group_commit
-      ~pipeline_depth ~sync_latency =
-    let presumption =
-      Option.map
-        (function `Abort -> Kv.Node.Presume_abort | `Commit -> Kv.Node.Presume_commit)
-        presumption
+  let print_trace = List.iter (fun e -> Fmt.pr "%8.2f  %s@." e.Sim.World.at e.Sim.World.what) in
+  let plan_text plan =
+    match Engine.Failure_plan.to_string plan with "" -> "(no faults)" | s -> s
+  in
+  let run_kv ~config ~profile ~k ~seeds ~seed_base ~workers ~plan ~replay ~metrics_json =
+    let report header schedule result violations =
+      Fmt.pr "%s:@.%s@." header
+        (match Sim.Nemesis.to_string schedule with "" -> "(no faults)" | s -> s);
+      Fmt.pr "%a@." Kv.Db.pp_result result;
+      List.iter (fun v -> Fmt.pr "VIOLATION %a@." Kv.Chaos_db.pp_violation v) violations;
+      print_trace result.Kv.Db.trace;
+      if violations <> [] then exit 1
     in
-    let group_commit =
-      if group_commit > 0 then Some { Kv.Kv_wal.max_batch = group_commit; max_wait = 0.05 }
-      else None
-    in
-    let protocol =
-      match label with
-      | "central-2pc" -> Kv.Node.Two_phase
-      | "central-3pc" -> Kv.Node.Three_phase
-      | "paxos-commit" -> Kv.Node.Paxos f
-      | other ->
-          Fmt.epr
-            "skeen chaos --kv: unsupported protocol %s (use central-2pc, central-3pc or \
-             paxos-commit)@."
-            other;
+    match (plan, replay) with
+    | Some plan, _ ->
+        let schedule = Engine.Failure_plan.to_schedule plan in
+        if
+          List.exists
+            (function Sim.Nemesis.Step_crash _ | Sim.Nemesis.Backup_crash _ -> true | _ -> false)
+            schedule
+        then begin
+          Fmt.epr "skeen chaos: step-crash, move-crash and decide-crash clauses pin a \
+                   protocol-engine step; the database harness (--kv) cannot run them@.";
           exit 2
-    in
-    let termination =
-      if quorum then Kv.Node.T_quorum (Engine.Runtime.majority n) else Kv.Node.T_skeen
-    in
-    let profile =
-      storage_profile ~disk_faults ~lost_flush
-        {
-          Kv.Chaos_db.default_profile with
-          Sim.Nemesis.p_partition = (if partitions then 0.35 else 0.0);
-          drop_weight = drops;
-        }
-    in
-    let profile = if detector_faults then detector_profile profile else profile in
-    let profile =
-      match protocol with
-      | Kv.Node.Paxos f ->
-          (* aim faults at the replicated-coordinator state: the KV harness
-             puts the 2f+1 acceptors on the lowest-numbered sites *)
-          {
-            profile with
-            Sim.Nemesis.p_acceptor_crash = 0.5;
-            acceptor_sites = List.init ((2 * f) + 1) (fun i -> i + 1);
-            max_acceptor_crashes = f;
-            p_lease_fault = 0.3;
-          }
-      | _ -> profile
-    in
-    match replay with
-    | Some seed ->
-        let o =
-          Kv.Chaos_db.run_one ~profile ~protocol ~termination ~n_sites:n ~until ~tracing:true
-            ~detector ~fencing ?presumption ~read_only_opt ?group_commit ~sync_latency
-            ~pipeline_depth ~k ~seed ()
-        in
-        Fmt.pr "seed %d schedule:@.%s@." seed
-          (match Sim.Nemesis.to_string o.Kv.Chaos_db.schedule with "" -> "(no faults)" | s -> s);
-        Fmt.pr "%a@." Kv.Db.pp_result o.Kv.Chaos_db.result;
-        List.iter (fun v -> Fmt.pr "VIOLATION %a@." Kv.Chaos_db.pp_violation v) o.Kv.Chaos_db.violations;
-        List.iter
-          (fun e -> Fmt.pr "%8.2f  %s@." e.Sim.World.at e.Sim.World.what)
-          o.Kv.Chaos_db.result.Kv.Db.trace;
-        if o.Kv.Chaos_db.violations <> [] then exit 1
-    | None ->
+        end;
+        let result, violations = Kv.Chaos_db.run_schedule ~config ~seed:seed_base schedule in
+        report "schedule" schedule result violations
+    | None, Some seed ->
+        let o = Kv.Chaos_db.run_one ~profile ~config ~k ~seed () in
+        report (Printf.sprintf "seed %d schedule" seed) o.Kv.Chaos_db.schedule o.Kv.Chaos_db.result
+          o.Kv.Chaos_db.violations
+    | None, None ->
         let summary, wall =
           Sim.Clock.time (fun () ->
-              Kv.Chaos_db.sweep ~profile ~protocol ~termination ~n_sites:n ~until ~detector
-                ~fencing ?presumption ~read_only_opt ?group_commit ~sync_latency ~pipeline_depth
-                ~seed_base ~workers ~k ~seeds ())
+              Kv.Chaos_db.sweep ~profile ~config ~seed_base ~workers ~k ~seeds ())
         in
         Fmt.pr "%a@." Kv.Chaos_db.pp_summary summary;
         Fmt.pr "%.0f schedules/sec (%.2f s wall)@."
@@ -526,6 +491,9 @@ let chaos_cmd =
             Fmt.pr "  shrunk schedule: %s@."
               (match Sim.Nemesis.to_string shrunk with "" -> "(no faults)" | s -> s))
           summary.Kv.Chaos_db.failing;
+        Option.iter
+          (fun file -> write_metrics_json file (Sim.Metrics.to_json summary.Kv.Chaos_db.metrics))
+          metrics_json;
         if summary.Kv.Chaos_db.violations_by_oracle <> [] then exit 1
   in
   let run label n f k seeds seed_base workers until replay plan_str partitions drops quorum
@@ -534,20 +502,66 @@ let chaos_cmd =
       sync_latency metrics_json =
     let detector = detector_flag || no_fencing || detector_faults in
     let fencing = not no_fencing in
-    if kv then run_kv label n f k seeds seed_base workers until replay partitions drops quorum
-        ~disk_faults ~lost_flush ~detector ~fencing ~detector_faults ~presumption ~read_only_opt
-        ~group_commit ~pipeline_depth ~sync_latency
-    else if label = "paxos-commit" then begin
-      let module EP = Engine.Paxos in
-      let profile =
+    if detector && suspicion_timeout <= heartbeat_period then begin
+      Fmt.epr "skeen chaos: --suspicion-timeout %g must exceed --heartbeat-period %g@."
+        suspicion_timeout heartbeat_period;
+      exit 2
+    end;
+    (* the ablation and fault-profile flags, applied to a harness's base profile *)
+    let profile base =
+      let p =
         storage_profile ~disk_faults ~lost_flush
           {
-            (EP.sweep_profile ~n_sites:n ~f) with
+            base with
             Sim.Nemesis.p_partition = (if partitions then 0.35 else 0.0);
             drop_weight = drops;
           }
       in
-      let profile = if detector_faults then detector_profile profile else profile in
+      if detector_faults then Sim.Nemesis.with_detector_faults p else p
+    in
+    if kv then begin
+      if election_timeout <> 4.0 then
+        Fmt.epr "skeen chaos: --election-timeout applies only to the protocol engine (the \
+                 database harness has no election timeout); ignoring it@.";
+      let protocol = kv_protocol ~cmd:"chaos" label f in
+      let config =
+        Kv.Db.config ~protocol ~n_sites:n
+          ~termination:
+            (if quorum then Kv.Node.T_quorum (Engine.Runtime.majority n) else Kv.Node.T_skeen)
+          ?presumption:
+            (Option.map
+               (function `Abort -> Kv.Node.Presume_abort | `Commit -> Kv.Node.Presume_commit)
+               presumption)
+          ~read_only_opt
+          ?group_commit:
+            (if group_commit > 0 then Some { Kv.Kv_wal.max_batch = group_commit; max_wait = 0.05 }
+             else None)
+          ~sync_latency ~pipeline_depth ~until
+          ~tracing:(plan_str <> None || replay <> None)
+          ~detector ~fencing
+          ~heartbeat_period ~suspicion_timeout ()
+      in
+      let profile = profile Kv.Chaos_db.default_profile in
+      let profile =
+        match protocol with
+        | Kv.Node.Paxos f ->
+            (* aim faults at the replicated-coordinator state: the KV harness
+               puts the 2f+1 acceptors on the lowest-numbered sites *)
+            {
+              profile with
+              Sim.Nemesis.p_acceptor_crash = 0.5;
+              acceptor_sites = List.init ((2 * f) + 1) (fun i -> i + 1);
+              max_acceptor_crashes = f;
+              p_lease_fault = 0.3;
+            }
+        | _ -> profile
+      in
+      let plan = Option.map (parse_plan ~label) plan_str in
+      run_kv ~config ~profile ~k ~seeds ~seed_base ~workers ~plan ~replay ~metrics_json
+    end
+    else if label = "paxos-commit" then begin
+      let module EP = Engine.Paxos in
+      let profile = profile (EP.sweep_profile ~n_sites:n ~f) in
       match (plan_str, replay) with
       | Some s, _ ->
           let plan = parse_plan ~label s in
@@ -557,9 +571,7 @@ let chaos_cmd =
           Fmt.pr "plan: %s@." (Engine.Failure_plan.to_string plan);
           Fmt.pr "%a@." Engine.Runtime.pp_result result;
           List.iter (fun v -> Fmt.pr "VIOLATION %a@." Engine.Chaos.pp_violation v) violations;
-          List.iter
-            (fun e -> Fmt.pr "%8.2f  %s@." e.Sim.World.at e.Sim.World.what)
-            result.Engine.Runtime.trace;
+          print_trace result.Engine.Runtime.trace;
           if violations <> [] then exit 1
       | None, Some seed ->
           let o = EP.run_one ~profile ~until ~n_sites:n ~f ~k ~seed () in
@@ -567,17 +579,12 @@ let chaos_cmd =
             EP.config ~plan:o.EP.ro_plan ~seed ~tracing:true ~until ~n_sites:n ~f ()
           in
           let result = EP.run cfg in
-          Fmt.pr "seed %d generates: %s@." seed
-            (match Engine.Failure_plan.to_string o.EP.ro_plan with
-            | "" -> "(no faults)"
-            | s -> s);
+          Fmt.pr "seed %d generates: %s@." seed (plan_text o.EP.ro_plan);
           Fmt.pr "%a@." Engine.Runtime.pp_result result;
           List.iter
             (fun v -> Fmt.pr "VIOLATION %a@." Engine.Chaos.pp_violation v)
             o.EP.ro_violations;
-          List.iter
-            (fun e -> Fmt.pr "%8.2f  %s@." e.Sim.World.at e.Sim.World.what)
-            result.Engine.Runtime.trace
+          print_trace result.Engine.Runtime.trace
       | None, None ->
           let summary, wall =
             Sim.Clock.time (fun () ->
@@ -594,8 +601,7 @@ let chaos_cmd =
             (fun (seed, vs, plan) ->
               Fmt.pr "@.seed %d:@." seed;
               List.iter (fun v -> Fmt.pr "  %a@." Engine.Chaos.pp_violation v) vs;
-              Fmt.pr "  plan: %s@."
-                (match Engine.Failure_plan.to_string plan with "" -> "(no faults)" | s -> s))
+              Fmt.pr "  plan: %s@." (plan_text plan))
             summary.EP.ps_failing;
           Option.iter
             (fun file -> write_metrics_json file (Sim.Metrics.to_json summary.EP.ps_metrics))
@@ -606,68 +612,48 @@ let chaos_cmd =
     if pipeline_depth <> 1 then
       Fmt.epr "skeen chaos: --pipeline applies only to --kv (the bare protocol engine runs one \
                transaction); ignoring it@.";
-    let presumption =
-      Option.map
-        (function `Abort -> Engine.Runtime.Presume_abort | `Commit -> Engine.Runtime.Presume_commit)
-        presumption
-    in
-    let group_commit =
-      if group_commit > 0 then Some { Engine.Wal.max_batch = group_commit; max_wait = 0.05 }
-      else None
-    in
-    let read_only = if read_only_opt then Some [ n ] else None in
     let rb = Engine.Rulebook.compile (build label n) in
-    let termination =
-      if quorum then Engine.Runtime.Quorum (Engine.Runtime.majority n) else Engine.Runtime.Skeen
+    let config =
+      Engine.Runtime.config ~until
+        ~termination:
+          (if quorum then Engine.Runtime.Quorum (Engine.Runtime.majority n)
+           else Engine.Runtime.Skeen)
+        ~tracing:(plan_str <> None || replay <> None)
+        ~detector ~heartbeat_period ~suspicion_timeout ~election_timeout ~fencing
+        ?presumption:
+          (Option.map
+             (function
+               | `Abort -> Engine.Runtime.Presume_abort | `Commit -> Engine.Runtime.Presume_commit)
+             presumption)
+        ?read_only:(if read_only_opt then Some [ n ] else None)
+        ?group_commit:
+          (if group_commit > 0 then Some { Engine.Wal.max_batch = group_commit; max_wait = 0.05 }
+           else None)
+        ~sync_latency rb
     in
-    let profile =
-      storage_profile ~disk_faults ~lost_flush
-        {
-          Sim.Nemesis.default_profile with
-          Sim.Nemesis.p_partition = (if partitions then 0.35 else 0.0);
-          drop_weight = drops;
-        }
+    let profile = profile Sim.Nemesis.default_profile in
+    let report result violations =
+      Fmt.pr "%a@." Engine.Runtime.pp_result result;
+      List.iter (fun v -> Fmt.pr "VIOLATION %a@." Engine.Chaos.pp_violation v) violations;
+      print_trace result.Engine.Runtime.trace
     in
-    let profile = if detector_faults then detector_profile profile else profile in
     match (plan_str, replay) with
     | Some s, _ ->
         let plan = parse_plan ~label s in
-        let result, violations =
-          Engine.Chaos.run_plan ~until ~termination ~tracing:true ~detector ~heartbeat_period
-            ~suspicion_timeout ~election_timeout ~fencing ?presumption ?read_only ?group_commit
-            ~sync_latency rb ~plan ~seed:seed_base ()
-        in
+        let result, violations = Engine.Chaos.run_plan ~config rb ~plan ~seed:seed_base () in
         Fmt.pr "plan: %s@." (Engine.Failure_plan.to_string plan);
-        Fmt.pr "%a@." Engine.Runtime.pp_result result;
-        List.iter (fun v -> Fmt.pr "VIOLATION %a@." Engine.Chaos.pp_violation v) violations;
-        List.iter
-          (fun e -> Fmt.pr "%8.2f  %s@." e.Sim.World.at e.Sim.World.what)
-          result.Engine.Runtime.trace;
+        report result violations;
         if violations <> [] then exit 1
     | None, Some seed ->
-        let { Engine.Chaos.plan; violations; _ } =
-          Engine.Chaos.run_one ~profile ~until ~termination ~detector ~heartbeat_period
-            ~suspicion_timeout ~election_timeout ~fencing ?presumption ?read_only ?group_commit
-            ~sync_latency rb ~k ~seed ()
+        let { Engine.Chaos.plan; result; violations; _ } =
+          Engine.Chaos.run_one ~profile ~config rb ~k ~seed ()
         in
-        let result, _ =
-          Engine.Chaos.run_plan ~until ~termination ~tracing:true ~detector ~heartbeat_period
-            ~suspicion_timeout ~election_timeout ~fencing ?presumption ?read_only ?group_commit
-            ~sync_latency rb ~plan ~seed ()
-        in
-        Fmt.pr "seed %d generates: %s@." seed
-          (match Engine.Failure_plan.to_string plan with "" -> "(no faults)" | s -> s);
-        Fmt.pr "%a@." Engine.Runtime.pp_result result;
-        List.iter (fun v -> Fmt.pr "VIOLATION %a@." Engine.Chaos.pp_violation v) violations;
-        List.iter
-          (fun e -> Fmt.pr "%8.2f  %s@." e.Sim.World.at e.Sim.World.what)
-          result.Engine.Runtime.trace
+        Fmt.pr "seed %d generates: %s@." seed (plan_text plan);
+        report result violations
     | None, None ->
         let summary, wall =
           Sim.Clock.time (fun () ->
-              Engine.Chaos.sweep ~profile ~until ~termination ~detector ~heartbeat_period
-                ~suspicion_timeout ~election_timeout ~fencing ?presumption ?read_only
-                ?group_commit ~sync_latency ~seed_base ~workers rb ~k ~seeds ())
+              Engine.Chaos.sweep ~profile ~config ~seed_base ~workers rb ~k ~seeds ())
         in
         Fmt.pr "%a@." Engine.Chaos.pp_summary summary;
         Fmt.pr "%.0f schedules/sec (%.2f s wall)@."
@@ -781,24 +767,16 @@ let explore_cmd =
       if storms then { base with Sim.Nemesis.p_storm = 0.7 } else base
     in
     let harness =
-      if kv then begin
-        let protocol =
-          match label with
-          | "central-2pc" -> Kv.Node.Two_phase
-          | "central-3pc" -> Kv.Node.Three_phase
-          | "paxos-commit" -> Kv.Node.Paxos f
-          | other ->
-              Fmt.epr
-                "skeen explore --kv: unsupported protocol %s (use central-2pc, central-3pc \
-                 or paxos-commit)@."
-                other;
-              exit 2
-        in
-        let n_sites = if n = 3 then 4 else n in
-        Helpers_bench.kv_harness ~protocol ~n_sites ~fencing:true
+      if kv then
+        Kv.Chaos_db.harness
+          ~config:
+            {
+              Kv.Chaos_db.default_config with
+              Kv.Db.protocol = kv_protocol ~cmd:"explore" label f;
+              n_sites = (if n = 3 then 4 else n);
+            }
           ~profile:(storm_profile Kv.Chaos_db.default_profile)
           ~k ()
-      end
       else if label = "paxos-commit" then begin
         Fmt.epr
           "skeen explore: the engine harness does not cover paxos-commit; use --kv \

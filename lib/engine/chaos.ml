@@ -336,38 +336,35 @@ let fingerprint_of (result : Runtime.result) =
       (fun name -> feat name (bucket (Sim.Metrics.counter result.run_metrics name)))
       detector_counter_names
 
-let run_plan ?metrics ?(until = 1500.0) ?(termination = Runtime.Skeen) ?(tracing = false)
-    ?presumption ?read_only ?group_commit ?sync_latency ?(late_force = false) ?detector
-    ?heartbeat_period ?suspicion_timeout ?election_timeout ?fencing rulebook ~plan ~seed () =
-  let result =
-    Runtime.run
-      (Runtime.config ~plan ~seed ~tracing ~until ~termination ?presumption ?read_only
-         ?group_commit ?sync_latency ~late_force ?detector ?heartbeat_period ?suspicion_timeout
-         ?election_timeout ?fencing rulebook)
-  in
-  (match metrics with Some m -> aggregate_run_metrics m result | None -> ());
-  (result, violations_of ?metrics ?presumption ?read_only result)
+let default_config rulebook = Runtime.config ~until:1500.0 rulebook
+let config_or_default rulebook = function Some c -> c | None -> default_config rulebook
 
-let run_one ?metrics ?(profile = Sim.Nemesis.default_profile) ?until ?termination ?presumption
-    ?read_only ?group_commit ?sync_latency ?late_force ?detector ?heartbeat_period
-    ?suspicion_timeout ?election_timeout ?fencing rulebook ~k ~seed () =
+(* One run of [config] under [plan] and [seed]; the positional rulebook
+   replaces the config's. *)
+let run_plan ?metrics ?config rulebook ~plan ~seed () =
+  let config = config_or_default rulebook config in
+  let result = Runtime.run { config with Runtime.rulebook; plan; seed } in
+  (match metrics with Some m -> aggregate_run_metrics m result | None -> ());
+  ( result,
+    violations_of ?metrics ~presumption:config.Runtime.presumption
+      ~read_only:config.Runtime.read_only result )
+
+(* The seed's randomness splits: the schedule draws from its own stream,
+   the world's latency draws from another, so the schedule never perturbs
+   message timing beyond the faults it injects. *)
+let plan_of_seed ?(profile = Sim.Nemesis.default_profile) rulebook ~k ~seed =
   let n_sites = Core.Protocol.n_sites rulebook.Rulebook.protocol in
-  (* The seed's randomness splits: the schedule draws from its own
-     stream, the world's latency draws from another, so the schedule
-     never perturbs message timing beyond the faults it injects. *)
   let sched_rng = Sim.Rng.split (Sim.Rng.create ~seed) in
-  let schedule = Sim.Nemesis.generate sched_rng ~n_sites ~k profile in
-  let plan = Failure_plan.of_schedule schedule in
+  Failure_plan.of_schedule (Sim.Nemesis.generate sched_rng ~n_sites ~k profile)
+
+let run_one ?metrics ?profile ?config rulebook ~k ~seed () =
+  let plan = plan_of_seed ?profile rulebook ~k ~seed in
   (match metrics with
   | Some m ->
       Sim.Metrics.incr m "chaos_runs";
       Sim.Metrics.observe m "schedule_faults" (float_of_int (Failure_plan.fault_count plan))
   | None -> ());
-  let result, violations =
-    run_plan ?metrics ?until ?termination ?presumption ?read_only ?group_commit ?sync_latency
-      ?late_force ?detector ?heartbeat_period ?suspicion_timeout ?election_timeout ?fencing
-      rulebook ~plan ~seed ()
-  in
+  let result, violations = run_plan ?metrics ?config rulebook ~plan ~seed () in
   { seed; plan; result; violations }
 
 (* ---------------- shrinking ---------------- *)
@@ -482,18 +479,12 @@ let rounding_candidates (p : Failure_plan.t) =
       (fun l -> { p with storms = l })
       p.storms
 
-let shrink ?metrics ?until ?termination ?presumption ?read_only ?group_commit ?sync_latency
-    ?late_force ?detector ?heartbeat_period ?suspicion_timeout ?election_timeout ?fencing
-    rulebook ~seed ~oracle plan =
+let shrink ?metrics ?config rulebook ~seed ~oracle plan =
   let runs = ref 0 in
   let still_fails p =
     incr runs;
     (match metrics with Some m -> Sim.Metrics.incr m "shrink_runs" | None -> ());
-    let _, vs =
-      run_plan ?metrics ?until ?termination ?presumption ?read_only ?group_commit ?sync_latency
-        ?late_force ?detector ?heartbeat_period ?suspicion_timeout ?election_timeout ?fencing
-        rulebook ~plan:p ~seed ()
-    in
+    let _, vs = run_plan ?metrics ?config rulebook ~plan:p ~seed () in
     List.exists (fun v -> v.oracle = oracle) vs
   in
   let rec reduce candidates_of p =
@@ -505,19 +496,13 @@ let shrink ?metrics ?until ?termination ?presumption ?read_only ?group_commit ?s
   let p = reduce rounding_candidates p in
   (p, !runs)
 
-let counterexample_of ?metrics ?until ?termination ?presumption ?read_only ?group_commit
-    ?sync_latency ?late_force ?detector ?heartbeat_period ?suspicion_timeout ?election_timeout
-    ?fencing rulebook (run : run_outcome) violation =
+let counterexample_of ~metrics ~config rulebook (run : run_outcome) violation =
   let cx_plan, cx_shrink_runs =
-    shrink ?metrics ?until ?termination ?presumption ?read_only ?group_commit ?sync_latency
-      ?late_force ?detector ?heartbeat_period ?suspicion_timeout ?election_timeout ?fencing
-      rulebook ~seed:run.seed ~oracle:violation.oracle run.plan
+    shrink ~metrics ~config rulebook ~seed:run.seed ~oracle:violation.oracle run.plan
   in
   (* replay the minimal plan with tracing to capture the evidence *)
   let result, vs =
-    run_plan ?until ?termination ~tracing:true ?presumption ?read_only ?group_commit
-      ?sync_latency ?late_force ?detector ?heartbeat_period ?suspicion_timeout ?election_timeout
-      ?fencing rulebook ~plan:cx_plan ~seed:run.seed ()
+    run_plan ~config:{ config with Runtime.tracing = true } rulebook ~plan:cx_plan ~seed:run.seed ()
   in
   let cx_violation =
     match List.find_opt (fun v -> v.oracle = violation.oracle) vs with
@@ -536,20 +521,15 @@ let counterexample_of ?metrics ?until ?termination ?presumption ?read_only ?grou
 
 (* ---------------- seed sweeps ---------------- *)
 
-let sweep ?(profile = Sim.Nemesis.default_profile) ?until ?termination ?presumption ?read_only
-    ?group_commit ?sync_latency ?late_force ?detector ?heartbeat_period ?suspicion_timeout
-    ?election_timeout ?fencing ?(seed_base = 0) ?(max_counterexamples = 5) ?(workers = 1)
-    rulebook ~k ~seeds () =
+let sweep ?profile ?config ?(seed_base = 0) ?(max_counterexamples = 5) ?(workers = 1) rulebook ~k
+    ~seeds () =
+  let config = config_or_default rulebook config in
   (* Phase 1, embarrassingly parallel: each seed runs in full isolation —
      its own World, Metrics registry and Rng stream, sharing only the
      read-only compiled rulebook — so worker assignment is unobservable. *)
   let runs, metrics =
     Sim.Sweep.sweep ~workers ~seed_base ~seeds (fun ~metrics ~seed ->
-        let run =
-          run_one ~metrics ~profile ?until ?termination ?presumption ?read_only ?group_commit
-            ?sync_latency ?late_force ?detector ?heartbeat_period ?suspicion_timeout
-            ?election_timeout ?fencing rulebook ~k ~seed ()
-        in
+        let run = run_one ~metrics ?profile ~config rulebook ~k ~seed () in
         List.iter
           (fun v ->
             Sim.Metrics.incr metrics (Printf.sprintf "violations_%s" (oracle_name v.oracle)))
@@ -569,10 +549,7 @@ let sweep ?(profile = Sim.Nemesis.default_profile) ?until ?termination ?presumpt
             (1 + Option.value ~default:0 (Hashtbl.find_opt by_oracle v.oracle));
           if List.length !counterexamples < max_counterexamples then
             counterexamples :=
-              counterexample_of ~metrics ?until ?termination ?presumption ?read_only
-                ?group_commit ?sync_latency ?late_force ?detector ?heartbeat_period
-                ?suspicion_timeout ?election_timeout ?fencing rulebook run v
-              :: !counterexamples)
+              counterexample_of ~metrics ~config rulebook run v :: !counterexamples)
         run.violations)
     runs;
   {

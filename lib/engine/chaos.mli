@@ -76,67 +76,53 @@ val fingerprint_of : Runtime.result -> string list
     activity ({!Sim.Coverage.bucket}) and oracle near-miss flags.
     Deterministic in the run. *)
 
+(** {2 Configuration}
+
+    Every harness entry point below takes the run's whole
+    {!Runtime.config} as one [?config] argument: termination rule,
+    presumption, read-only sites, group commit and sync latency, the
+    late-force ablation, the failure detector and its timeouts, fencing,
+    the [until] stall budget and tracing.  Per run the harness overwrites
+    exactly three fields: [rulebook] (the positional rulebook wins over
+    the config's), [plan] (generated from the seed, or the explicit plan)
+    and [seed].  Every other field is used as given. *)
+
+val default_config : Rulebook.t -> Runtime.config
+(** [Runtime.config ~until:1500.0 rb]: every {!Runtime.config} default,
+    with a 1500 s stall budget.  The default of every [?config] below. *)
+
+val plan_of_seed : ?profile:Sim.Nemesis.profile -> Rulebook.t -> k:int -> seed:int -> Failure_plan.t
+(** The seed discipline: the plan {!run_one} executes for [seed], drawn
+    by {!Sim.Nemesis.generate} (profile default
+    {!Sim.Nemesis.default_profile}) from a {!Sim.Rng.split} stream of the
+    seed's root rng, so the schedule never perturbs message timing. *)
+
 val run_plan :
   ?metrics:Sim.Metrics.t ->
-  ?until:float ->
-  ?termination:Runtime.termination_rule ->
-  ?tracing:bool ->
-  ?presumption:Runtime.presumption ->
-  ?read_only:Core.Types.site list ->
-  ?group_commit:Wal.group_commit ->
-  ?sync_latency:float ->
-  ?late_force:bool ->
-  ?detector:bool ->
-  ?heartbeat_period:float ->
-  ?suspicion_timeout:float ->
-  ?election_timeout:float ->
-  ?fencing:bool ->
+  ?config:Runtime.config ->
   Rulebook.t ->
   plan:Failure_plan.t ->
   seed:int ->
   unit ->
   Runtime.result * violation list
-(** Execute one explicit plan (e.g. a pasted counterexample) and judge
-    it.  [until] (default 1500.0) is the stall budget; [late_force]
-    (default false) runs the mis-placed-force-point ablation the
-    durability oracle must catch. *)
+(** Execute one explicit plan (e.g. a pasted counterexample) under
+    [config] and judge it; the oracles read the config's presumption and
+    read-only sites.  Set [config.tracing] to keep the event trace. *)
 
 val run_one :
   ?metrics:Sim.Metrics.t ->
   ?profile:Sim.Nemesis.profile ->
-  ?until:float ->
-  ?termination:Runtime.termination_rule ->
-  ?presumption:Runtime.presumption ->
-  ?read_only:Core.Types.site list ->
-  ?group_commit:Wal.group_commit ->
-  ?sync_latency:float ->
-  ?late_force:bool ->
-  ?detector:bool ->
-  ?heartbeat_period:float ->
-  ?suspicion_timeout:float ->
-  ?election_timeout:float ->
-  ?fencing:bool ->
+  ?config:Runtime.config ->
   Rulebook.t ->
   k:int ->
   seed:int ->
   unit ->
   run_outcome
-(** Generate the seed's schedule and execute it.  Deterministic. *)
+(** Run {!plan_of_seed}'s plan under [config].  Deterministic. *)
 
 val shrink :
   ?metrics:Sim.Metrics.t ->
-  ?until:float ->
-  ?termination:Runtime.termination_rule ->
-  ?presumption:Runtime.presumption ->
-  ?read_only:Core.Types.site list ->
-  ?group_commit:Wal.group_commit ->
-  ?sync_latency:float ->
-  ?late_force:bool ->
-  ?detector:bool ->
-  ?heartbeat_period:float ->
-  ?suspicion_timeout:float ->
-  ?election_timeout:float ->
-  ?fencing:bool ->
+  ?config:Runtime.config ->
   Rulebook.t ->
   seed:int ->
   oracle:oracle ->
@@ -144,22 +130,12 @@ val shrink :
   Failure_plan.t * int
 (** Greedy minimisation: repeatedly drop single faults, then round fault
     times, keeping any candidate that still trips [oracle] under the same
-    seed.  Returns the minimal plan and the number of re-runs spent. *)
+    seed and [config].  Returns the minimal plan and the number of re-runs
+    spent. *)
 
 val sweep :
   ?profile:Sim.Nemesis.profile ->
-  ?until:float ->
-  ?termination:Runtime.termination_rule ->
-  ?presumption:Runtime.presumption ->
-  ?read_only:Core.Types.site list ->
-  ?group_commit:Wal.group_commit ->
-  ?sync_latency:float ->
-  ?late_force:bool ->
-  ?detector:bool ->
-  ?heartbeat_period:float ->
-  ?suspicion_timeout:float ->
-  ?election_timeout:float ->
-  ?fencing:bool ->
+  ?config:Runtime.config ->
   ?seed_base:int ->
   ?max_counterexamples:int ->
   ?workers:int ->
@@ -168,8 +144,9 @@ val sweep :
   seeds:int ->
   unit ->
   summary
-(** Run seeds [seed_base .. seed_base + seeds - 1]; shrink (and trace) at
-    most [max_counterexamples] violations (default 5).
+(** Run seeds [seed_base .. seed_base + seeds - 1] under [config]; shrink
+    (and replay with tracing on) at most [max_counterexamples] violations
+    (default 5).
 
     [workers] (default 1) shards the seed range across OCaml domains via
     {!Sim.Sweep}: each seed runs in a fully isolated World/Metrics/Rng

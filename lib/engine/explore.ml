@@ -14,10 +14,9 @@
     persists as replayable {!Failure_plan} text files.
 
     The module is generic over a {!harness} record, so the engine
-    harness (built here, over {!Chaos}) and the database harness (built
-    at the bin/bench layer, over [Kv.Chaos_db] — the kv library does not
-    depend on this one) explore through the same loop and are comparable
-    in the same report.
+    harness (built here, over {!Chaos}) and the database harness
+    ([Kv.Chaos_db.harness]) explore through the same loop and are
+    comparable in the same report.
 
     Determinism: candidates are derived sequentially from the search's
     own {!Sim.Rng} stream, evaluated in parallel via {!Sim.Sweep.map}
@@ -410,24 +409,19 @@ let load_corpus ~dir =
            (f, Failure_plan.of_string_exn s))
 
 (* ------------------------------------------------------------------ *)
-(* The engine harness, mirroring {!Chaos.run_one}'s seed discipline so
-   `--mode random` is exactly the classic chaos sweep per seed. *)
+(* The engine harness: [random_plan] is {!Chaos.plan_of_seed}, the plan
+   {!Chaos.run_one} draws, so `--mode random` is exactly the classic
+   chaos sweep per seed. *)
 
 let oracle_of_name name =
   List.find_opt
     (fun o -> Chaos.oracle_name o = name)
     [ Chaos.Atomicity; Chaos.Progress; Chaos.Recovery_convergence; Chaos.Durability; Chaos.Split_brain ]
 
-let engine_harness ?until ?termination ?presumption ?read_only ?group_commit ?sync_latency
-    ?detector ?heartbeat_period ?suspicion_timeout ?election_timeout ?fencing
-    ?(profile = Sim.Nemesis.default_profile) ?(k = 1) rulebook =
+let engine_harness ?config ?profile ?(k = 1) rulebook =
   let n_sites = Core.Protocol.n_sites rulebook.Rulebook.protocol in
   let run ~seed plan =
-    let result, violations =
-      Chaos.run_plan ?until ?termination ?presumption ?read_only ?group_commit ?sync_latency
-        ?detector ?heartbeat_period ?suspicion_timeout ?election_timeout ?fencing rulebook ~plan
-        ~seed ()
-    in
+    let result, violations = Chaos.run_plan ?config rulebook ~plan ~seed () in
     {
       fingerprint = Chaos.fingerprint_of result;
       violations =
@@ -437,21 +431,15 @@ let engine_harness ?until ?termination ?presumption ?read_only ?group_commit ?sy
   let shrink ~seed ~oracle plan =
     match oracle_of_name oracle with
     | None -> (plan, 0)
-    | Some oracle ->
-        Chaos.shrink ?until ?termination ?presumption ?read_only ?group_commit ?sync_latency
-          ?detector ?heartbeat_period ?suspicion_timeout ?election_timeout ?fencing rulebook
-          ~seed ~oracle plan
+    | Some oracle -> Chaos.shrink ?config rulebook ~seed ~oracle plan
   in
-  let random_plan ~seed =
-    let sched_rng = Sim.Rng.split (Sim.Rng.create ~seed) in
-    Failure_plan.of_schedule (Sim.Nemesis.generate sched_rng ~n_sites ~k profile)
-  in
+  let protocol = rulebook.Rulebook.protocol.Core.Protocol.name in
   {
-    name = rulebook.Rulebook.protocol.Core.Protocol.name;
+    name = protocol;
     n_sites;
-    horizon = profile.Sim.Nemesis.horizon;
-    families = protocol_families ~protocol:rulebook.Rulebook.protocol.Core.Protocol.name;
+    horizon = (Option.value profile ~default:Sim.Nemesis.default_profile).Sim.Nemesis.horizon;
+    families = protocol_families ~protocol;
     run;
     shrink;
-    random_plan;
+    random_plan = (fun ~seed -> Chaos.plan_of_seed ?profile rulebook ~k ~seed);
   }

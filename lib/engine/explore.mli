@@ -52,8 +52,7 @@ type harness = {
           would have executed *)
 }
 (** What the search needs from a target system.  The engine harness is
-    {!engine_harness}; the database harness is built at the bin/bench
-    layer (the kv library does not depend on this one). *)
+    {!engine_harness}; the database harness is [Kv.Chaos_db.harness]. *)
 
 val mutate :
   Sim.Rng.t -> n_sites:int -> horizon:float -> families:family list -> Failure_plan.t -> Failure_plan.t
@@ -128,22 +127,12 @@ val load_corpus : dir:string -> (string * Failure_plan.t) list
     @raise Failure_plan.Parse_error on a malformed entry. *)
 
 val engine_harness :
-  ?until:float ->
-  ?termination:Runtime.termination_rule ->
-  ?presumption:Runtime.presumption ->
-  ?read_only:Core.Types.site list ->
-  ?group_commit:Wal.group_commit ->
-  ?sync_latency:float ->
-  ?detector:bool ->
-  ?heartbeat_period:float ->
-  ?suspicion_timeout:float ->
-  ?election_timeout:float ->
-  ?fencing:bool ->
-  ?profile:Sim.Nemesis.profile ->
-  ?k:int ->
-  Rulebook.t ->
-  harness
+  ?config:Runtime.config -> ?profile:Sim.Nemesis.profile -> ?k:int -> Rulebook.t -> harness
 (** The protocol-engine harness over {!Chaos}: [run] executes a plan
-    under the five oracles and fingerprints it ({!Chaos.fingerprint_of});
-    [random_plan] reproduces {!Chaos.run_one}'s seed discipline, so the
-    [`Random] baseline is exactly the classic chaos sweep. *)
+    under [config] (default {!Chaos.default_config}; the rulebook, plan
+    and seed are overwritten per run) and the five oracles, and
+    fingerprints it ({!Chaos.fingerprint_of}); [shrink] is
+    {!Chaos.shrink} under the same config; [random_plan] is
+    {!Chaos.plan_of_seed} with [profile] (default
+    {!Sim.Nemesis.default_profile}) and [k] (default 1), so the [`Random]
+    baseline is exactly the classic chaos sweep. *)

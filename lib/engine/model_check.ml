@@ -33,7 +33,8 @@
     parsing on the hot path), and each global state dedups as one packed
     [int array] under a memoized FNV hash.  The frontier is a queue of
     state indices over index-based [seen]/[parent] tables.  The original
-    string-keyed engine survives as {!Model_check_ref}; differential
+    string-keyed engine survives in the test tree as
+    [Reference.Model_check_ref] (test/reference/); differential
     tests assert both produce identical [explored] counts and verdicts,
     and [Packed] below exposes the codec for round-trip tests. *)
 
@@ -203,7 +204,7 @@ let term_name_code ctx name =
    arrays (record copies are then free), int codes everywhere, the
    network a sorted int array.  [moving]/[polling] keep the reference
    engine's list shapes — and crucially its list {e orders} — so state
-   identity matches [Model_check_ref.equal_st] exactly: the awaiting and
+   identity matches the reference engine's [equal_st] exactly: the awaiting and
    reps lists there compare order-sensitively, and reps order feeds the
    quorum rule's [to_move]. *)
 type ist = {

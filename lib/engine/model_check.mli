@@ -25,7 +25,8 @@
     The exploration engine runs over {!Core.Intern}'s packed int-array
     encoding (interned ids, one-int messages, memoized FNV hashing, a
     queue-of-indices frontier); the original string-keyed engine is kept
-    as {!Model_check_ref} and the differential tests assert both agree. *)
+    in the test tree ([Reference.Model_check_ref], test/reference/) and
+    the differential tests assert both agree. *)
 
 type st = {
   locals : string array;

@@ -286,22 +286,40 @@ let fingerprint_of (r : Db.result) =
     ]
   @ List.map (fun (name, v) -> feat name (bucket v)) r.Db.metrics
 
-let run_schedule ?(protocol = Node.Three_phase) ?(termination = Node.T_skeen) ?presumption
-    ?read_only_opt ?group_commit ?sync_latency ?pipeline_depth ?(n_sites = 4) ?(until = 3000.0)
-    ?(tracing = false) ?(durable_wal = true) ?detector ?fencing ~seed
-    (schedule : Sim.Nemesis.schedule) =
+let default_config = Db.config ~protocol:Node.Three_phase ~n_sites:4 ~until:3000.0 ()
+
+(* One run of [config] on the seed's bank workload: the seed, the
+   schedule's faults and the bank overwrite the config's. *)
+let run_schedule ?(config = default_config) ?(protocol = config.Db.protocol)
+    ?(n_sites = config.Db.n_sites) ~seed (schedule : Sim.Nemesis.schedule) =
   let crashes, recoveries, partitions, msg_faults, disk_faults, detector_faults, lease_faults =
     lower schedule
   in
   let cfg =
-    Db.config ~n_sites ~protocol ~termination ?presumption ?read_only_opt ?group_commit
-      ?sync_latency ?pipeline_depth ~seed ~until ~tracing ~crashes ~recoveries ~partitions
-      ~msg_faults ~durable_wal ~disk_faults ~detector_faults ~lease_faults ?detector ?fencing
-      ~initial_data:(Workload.bank_initial ~accounts ~initial_balance)
-      ()
+    {
+      config with
+      Db.protocol;
+      n_sites;
+      seed;
+      crashes;
+      recoveries;
+      partitions;
+      msg_faults;
+      disk_faults;
+      detector_faults;
+      lease_faults;
+      initial_data = Workload.bank_initial ~accounts ~initial_balance;
+    }
   in
   let r = Db.run cfg (workload_of ~seed) in
   (r, violations ~protocol ~schedule r)
+
+(* The seed's root rng splits twice: the workload stream first (consumed
+   by [workload_of]), the schedule stream second. *)
+let schedule_of_seed ?(profile = default_profile) ~n_sites ~k ~seed () =
+  let root = Sim.Rng.create ~seed in
+  ignore (Sim.Rng.split root);
+  Sim.Nemesis.generate (Sim.Rng.split root) ~n_sites ~k profile
 
 type run_outcome = {
   seed : int;
@@ -310,17 +328,10 @@ type run_outcome = {
   violations : violation list;
 }
 
-let run_one ?(profile = default_profile) ?protocol ?termination ?presumption ?read_only_opt
-    ?group_commit ?sync_latency ?pipeline_depth ?(n_sites = 4) ?until ?tracing ?durable_wal
-    ?detector ?fencing ~k ~seed () =
-  let root = Sim.Rng.create ~seed in
-  ignore (Sim.Rng.split root) (* the workload stream, consumed by [workload_of] *);
-  let sched_rng = Sim.Rng.split root in
-  let schedule = Sim.Nemesis.generate sched_rng ~n_sites ~k profile in
-  let result, violations =
-    run_schedule ?protocol ?termination ?presumption ?read_only_opt ?group_commit ?sync_latency
-      ?pipeline_depth ~n_sites ?until ?tracing ?durable_wal ?detector ?fencing ~seed schedule
-  in
+let run_one ?profile ?(config = default_config) ?(protocol = config.Db.protocol)
+    ?(n_sites = config.Db.n_sites) ~k ~seed () =
+  let schedule = schedule_of_seed ?profile ~n_sites ~k ~seed () in
+  let result, violations = run_schedule ~config ~protocol ~n_sites ~seed schedule in
   { seed; schedule; result; violations }
 
 (* ---- counterexample shrinking, at schedule granularity ---- *)
@@ -395,16 +406,11 @@ let round_candidates (schedule : Sim.Nemesis.schedule) =
          | _ -> [])
        schedule)
 
-let shrink ?protocol ?termination ?presumption ?read_only_opt ?group_commit ?sync_latency
-    ?pipeline_depth ?n_sites ?until ?durable_wal ?detector ?fencing ~seed ~oracle
-    (schedule : Sim.Nemesis.schedule) =
+let shrink ?(config = default_config) ~seed ~oracle (schedule : Sim.Nemesis.schedule) =
   let runs = ref 0 in
   let still_fails candidate =
     incr runs;
-    let _, vs =
-      run_schedule ?protocol ?termination ?presumption ?read_only_opt ?group_commit ?sync_latency
-        ?pipeline_depth ?n_sites ?until ?durable_wal ?detector ?fencing ~seed candidate
-    in
+    let _, vs = run_schedule ~config ~seed candidate in
     List.exists (fun v -> v.oracle = oracle) vs
   in
   let rec reduce current =
@@ -434,18 +440,15 @@ type summary = {
           latencies, lock waits, message counts) merged in seed order *)
 }
 
-let sweep ?(profile = default_profile) ?(protocol = Node.Three_phase) ?termination ?presumption
-    ?read_only_opt ?group_commit ?sync_latency ?pipeline_depth ?(n_sites = 4) ?until ?durable_wal
-    ?detector ?fencing ?(seed_base = 0) ?(max_counterexamples = 3) ?(workers = 1) ~k ~seeds () =
+let sweep ?profile ?(config = default_config) ?(protocol = config.Db.protocol)
+    ?(n_sites = config.Db.n_sites) ?(seed_base = 0) ?(max_counterexamples = 3) ?(workers = 1) ~k
+    ~seeds () =
+  let config = { config with Db.protocol; n_sites } in
   (* Phase 1, Domain-sharded: one isolated Db run (own World, Metrics,
      Rng) per seed — see {!Sim.Sweep} for the isolation contract. *)
   let outcomes, metrics =
     Sim.Sweep.sweep ~workers ~seed_base ~seeds (fun ~metrics ~seed ->
-        let o =
-          run_one ~profile ~protocol ?termination ?presumption ?read_only_opt ?group_commit
-            ?sync_latency ?pipeline_depth ~n_sites ?until ?durable_wal ?detector ?fencing ~k
-            ~seed ()
-        in
+        let o = run_one ?profile ~config ~k ~seed () in
         Sim.Metrics.incr metrics "chaos_runs";
         List.iter
           (fun v -> Sim.Metrics.incr metrics ("violations_" ^ oracle_name v.oracle))
@@ -468,11 +471,7 @@ let sweep ?(profile = default_profile) ?(protocol = Node.Three_phase) ?terminati
         let shrunk =
           if List.length !failing < max_counterexamples then begin
             let v = List.hd o.violations in
-            let minimal, runs =
-              shrink ~protocol ?termination ?presumption ?read_only_opt ?group_commit
-                ?sync_latency ?pipeline_depth ~n_sites ?until ?durable_wal ?detector ?fencing
-                ~seed:o.seed ~oracle:v.oracle o.schedule
-            in
+            let minimal, runs = shrink ~config ~seed:o.seed ~oracle:v.oracle o.schedule in
             Sim.Metrics.incr ~by:runs metrics "shrink_runs";
             minimal
           end
@@ -497,3 +496,47 @@ let pp_summary ppf (s : summary) =
     Fmt.(
       list ~sep:nop (fun ppf (o, n) -> Fmt.pf ppf ", %d %s" n (oracle_name o)))
     s.violations_by_oracle
+
+(* ---- the database harness for the coverage-guided explorer ---- *)
+
+(* Plans cross into the database through {!Engine.Failure_plan.to_schedule}
+   and shrunk schedules come back through [of_schedule]. *)
+let harness ?(config = default_config) ?profile ?(k = 1) () =
+  let open Engine.Explore in
+  let n_sites = config.Db.n_sites in
+  let run ~seed plan =
+    let result, violations = run_schedule ~config ~seed (Engine.Failure_plan.to_schedule plan) in
+    {
+      fingerprint = fingerprint_of result;
+      violations = List.map (fun v -> (oracle_name v.oracle, v.detail)) violations;
+    }
+  in
+  let shrink ~seed ~oracle plan =
+    match
+      List.find_opt
+        (fun o -> oracle_name o = oracle)
+        [ Atomicity; Conservation; Progress; Durability; Split_brain ]
+    with
+    | None -> (plan, 0)
+    | Some oracle ->
+        let minimal, runs = shrink ~config ~seed ~oracle (Engine.Failure_plan.to_schedule plan) in
+        (Engine.Failure_plan.of_schedule minimal, runs)
+  in
+  let name, families =
+    let base = [ Timed_crashes; Recoveries; Msg_faults; Delay_spikes; Stalls; Hb_losses; Storms ] in
+    match config.Db.protocol with
+    | Node.Two_phase -> ("kv-2pc", base)
+    | Node.Three_phase -> ("kv-3pc", base)
+    | Node.Paxos f -> (Printf.sprintf "kv-paxos-f%d" f, base @ [ Acceptor_crashes; Lease_faults ])
+  in
+  {
+    name;
+    n_sites;
+    horizon = (Option.value profile ~default:default_profile).Sim.Nemesis.horizon;
+    families;
+    run;
+    shrink;
+    random_plan =
+      (fun ~seed ->
+        Engine.Failure_plan.of_schedule (schedule_of_seed ?profile ~n_sites ~k ~seed ()));
+  }

@@ -50,25 +50,36 @@ val fingerprint_of : Db.result -> string list
     near-miss flags, read post hoc from the result — pinned metrics stay
     byte-identical.  Deterministic in the run. *)
 
+(** {2 Configuration}
+
+    Every harness entry point below takes the run's whole {!Db.config}
+    as one [?config] argument (default {!default_config}): protocol,
+    site count, termination rule, presumption, the read-only
+    optimization, group commit, sync latency, pipelining, the durable
+    WAL, the failure detector with its heartbeat period and suspicion
+    timeout, fencing, the [until] horizon and tracing.  Per run the
+    harness overwrites [seed], the seven fault lists ([crashes],
+    [recoveries], [partitions], [msg_faults], [disk_faults],
+    [detector_faults], [lease_faults], from {!lower} of the schedule)
+    and [initial_data] (the bank).  Every other field is used as given.
+    {!run_schedule}, {!run_one} and {!sweep} also take [?protocol] and
+    [?n_sites]; they default to the config's fields and, when given,
+    replace them. *)
+
+val default_config : Db.config
+(** The harness defaults: {!Db.config}'s defaults (durable WAL, Skeen
+    termination, no presumption, no detector) with 3PC, 4 sites and a
+    3000 s horizon. *)
+
 val run_schedule :
+  ?config:Db.config ->
   ?protocol:Node.protocol ->
-  ?termination:Node.termination ->
-  ?presumption:Node.presumption ->
-  ?read_only_opt:bool ->
-  ?group_commit:Kv_wal.group_commit ->
-  ?sync_latency:float ->
-  ?pipeline_depth:int ->
   ?n_sites:int ->
-  ?until:float ->
-  ?tracing:bool ->
-  ?durable_wal:bool ->
-  ?detector:bool ->
-  ?fencing:bool ->
   seed:int ->
   Sim.Nemesis.schedule ->
   Db.result * violation list
 (** Execute one explicit schedule (e.g. a pinned counterexample) against
-    the seed's workload and judge it. *)
+    the seed's workload under [config] and judge it. *)
 
 type run_outcome = {
   seed : int;
@@ -79,45 +90,28 @@ type run_outcome = {
 
 val run_one :
   ?profile:Sim.Nemesis.profile ->
+  ?config:Db.config ->
   ?protocol:Node.protocol ->
-  ?termination:Node.termination ->
-  ?presumption:Node.presumption ->
-  ?read_only_opt:bool ->
-  ?group_commit:Kv_wal.group_commit ->
-  ?sync_latency:float ->
-  ?pipeline_depth:int ->
   ?n_sites:int ->
-  ?until:float ->
-  ?tracing:bool ->
-  ?durable_wal:bool ->
-  ?detector:bool ->
-  ?fencing:bool ->
   k:int ->
   seed:int ->
   unit ->
   run_outcome
-(** Generate the seed's schedule and execute it.  Deterministic. *)
+(** Generate the seed's schedule and execute it.  The seed's root rng
+    splits twice: the workload stream ({!workload_of}) first, the
+    schedule stream ({!Sim.Nemesis.generate} with [profile], default
+    {!default_profile}) second.  Deterministic. *)
 
 val shrink :
-  ?protocol:Node.protocol ->
-  ?termination:Node.termination ->
-  ?presumption:Node.presumption ->
-  ?read_only_opt:bool ->
-  ?group_commit:Kv_wal.group_commit ->
-  ?sync_latency:float ->
-  ?pipeline_depth:int ->
-  ?n_sites:int ->
-  ?until:float ->
-  ?durable_wal:bool ->
-  ?detector:bool ->
-  ?fencing:bool ->
+  ?config:Db.config ->
   seed:int ->
   oracle:oracle ->
   Sim.Nemesis.schedule ->
   Sim.Nemesis.schedule * int
 (** Greedy minimisation: drop single faults, then round fault times,
-    keeping any candidate that still trips [oracle] under the same seed.
-    Returns the minimal schedule and the number of re-runs spent. *)
+    keeping any candidate that still trips [oracle] under the same seed
+    and [config].  Returns the minimal schedule and the number of re-runs
+    spent. *)
 
 type summary = {
   protocol : Node.protocol;
@@ -137,18 +131,9 @@ type summary = {
 
 val sweep :
   ?profile:Sim.Nemesis.profile ->
+  ?config:Db.config ->
   ?protocol:Node.protocol ->
-  ?termination:Node.termination ->
-  ?presumption:Node.presumption ->
-  ?read_only_opt:bool ->
-  ?group_commit:Kv_wal.group_commit ->
-  ?sync_latency:float ->
-  ?pipeline_depth:int ->
   ?n_sites:int ->
-  ?until:float ->
-  ?durable_wal:bool ->
-  ?detector:bool ->
-  ?fencing:bool ->
   ?seed_base:int ->
   ?max_counterexamples:int ->
   ?workers:int ->
@@ -156,10 +141,22 @@ val sweep :
   seeds:int ->
   unit ->
   summary
-(** [workers] (default 1) shards the seed range across OCaml domains via
+(** Run seeds [seed_base .. seed_base + seeds - 1] under [config] and
+    shrink the first [max_counterexamples] (default 3) failing ones.
+    [workers] (default 1) shards the seed range across OCaml domains via
     {!Sim.Sweep}; every seed runs in an isolated World/Metrics/Rng and
     the summary (shrunk counterexamples included) is byte-identical
     whatever the worker count.  Shrinking runs sequentially after the
     sharded phase. *)
+
+val harness :
+  ?config:Db.config -> ?profile:Sim.Nemesis.profile -> ?k:int -> unit -> Engine.Explore.harness
+(** The database harness for {!Engine.Explore}: [run] lowers a plan
+    through {!Engine.Failure_plan.to_schedule} and runs it with
+    {!run_schedule} under [config]; [shrink] is {!shrink} under the same
+    config; [random_plan] is the schedule {!run_one} draws for the seed
+    (with [profile] and [k], default 1), so the [`Random] baseline is
+    exactly the classic kv chaos sweep.  The protocol and site count
+    are the config's. *)
 
 val pp_summary : Format.formatter -> summary -> unit

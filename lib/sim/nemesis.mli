@@ -113,6 +113,12 @@ val default_profile : profile
     they belong to ablation profiles ([drop_weight > 0],
     [p_partition > 0]), not the correctness profile. *)
 
+val with_detector_faults : profile -> profile
+(** [base] with the failure-detector fault mix armed: latency spikes of
+    1–3.5 s, stall (GC-pause) windows and heartbeat-loss bursts, each
+    4–14 s long — the profile of `skeen chaos --detector-faults` and of
+    the detector experiments.  Every other field is [base]'s. *)
+
 val generate : Rng.t -> n_sites:int -> k:int -> profile -> schedule
 (** Deterministic in the stream: crash incidents hit distinct sites and
     stay within [k] concurrent failures. *)

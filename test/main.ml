@@ -46,4 +46,6 @@ let () =
       ("paxos", Test_paxos.suite);
       ("backoff", Test_backoff.suite);
       ("explore", Test_explore.suite);
+      ("harness-parity", Test_harness_parity.suite);
+      ("harness", Test_harness.suite);
     ]

@@ -11,6 +11,7 @@
     module.  Not for production use: orders of magnitude slower on large
     state spaces. *)
 
+open Engine
 module MS = Core.Message.Multiset
 
 type st = Model_check.st = {

@@ -32,7 +32,11 @@ let test_replay_trace_byte_identical () =
      just the verdict but the exact event trace *)
   let trace_of () =
     let o = C.run_one (Lazy.force rb_c2) ~k:1 ~seed:35 () in
-    let result, _ = C.run_plan (Lazy.force rb_c2) ~plan:o.C.plan ~seed:35 ~tracing:true () in
+    let rb = Lazy.force rb_c2 in
+    let result, _ =
+      C.run_plan ~config:{ (C.default_config rb) with R.tracing = true } rb ~plan:o.C.plan ~seed:35
+        ()
+    in
     List.map (fun (e : Sim.World.trace_entry) -> Fmt.str "%.6f %s" e.Sim.World.at e.Sim.World.what)
       result.R.trace
   in
@@ -144,7 +148,9 @@ let test_kv_2pc_blocks_and_shrinks () =
   Alcotest.(check bool) "atomicity still holds" false
     (kv_has Kv.Chaos_db.Atomicity o.Kv.Chaos_db.violations);
   let minimal, _ =
-    Kv.Chaos_db.shrink ~protocol:Kv.Node.Two_phase ~n_sites:4 ~seed:15
+    Kv.Chaos_db.shrink
+      ~config:{ Kv.Chaos_db.default_config with Kv.Db.protocol = Kv.Node.Two_phase }
+      ~seed:15
       ~oracle:Kv.Chaos_db.Progress o.Kv.Chaos_db.schedule
   in
   Alcotest.(check int) "one fault suffices" 1 (List.length minimal);

@@ -165,8 +165,16 @@ let test_kv_pinned_seeds_unchanged_with_levers_off () =
     (fun seed ->
       let a = KC.run_one ~n_sites:4 ~k:1 ~seed () in
       let b =
-        KC.run_one ~presumption:KN.No_presumption ~read_only_opt:false ~sync_latency:0.0
-          ~pipeline_depth:1 ~n_sites:4 ~k:1 ~seed ()
+        KC.run_one
+          ~config:
+            {
+              KC.default_config with
+              Kv.Db.presumption = KN.No_presumption;
+              read_only_opt = false;
+              sync_latency = 0.0;
+              pipeline_depth = 1;
+            }
+          ~n_sites:4 ~k:1 ~seed ()
       in
       Alcotest.(check int) (Fmt.str "seed %d committed" seed) a.KC.result.Kv.Db.committed
         b.KC.result.Kv.Db.committed;
@@ -186,10 +194,19 @@ let test_engine_seed34_ablation_unchanged_with_levers_off () =
   (* the pinned durability-ablation seed still breaches — and the
      explicit levers-off spelling changes nothing about the run *)
   let has_durability vs = List.exists (fun (v : C.violation) -> v.C.oracle = C.Durability) vs in
-  let a = C.run_one ~late_force:true (Lazy.force rb_c3) ~k:1 ~seed:34 () in
+  let rb = Lazy.force rb_c3 in
+  let late_force = { (C.default_config rb) with R.late_force = true } in
+  let a = C.run_one ~config:late_force rb ~k:1 ~seed:34 () in
   let b =
-    C.run_one ~presumption:R.No_presumption ~read_only:[] ~sync_latency:0.0 ~late_force:true
-      (Lazy.force rb_c3) ~k:1 ~seed:34 ()
+    C.run_one
+      ~config:
+        {
+          late_force with
+          R.presumption = R.No_presumption;
+          read_only = [];
+          sync_latency = 0.0;
+        }
+      rb ~k:1 ~seed:34 ()
   in
   Alcotest.(check bool) "seed 34 still breaches" true (has_durability a.C.violations);
   Alcotest.(check bool) "same plan" true (Engine.Failure_plan.equal a.C.plan b.C.plan);
@@ -205,17 +222,23 @@ let test_kv_lever_combos_sweep_clean () =
     let s = f () in
     Alcotest.(check int) (name ^ " clean") 0 (List.length s.KC.violations_by_oracle)
   in
-  sweep "presume-abort" (fun () ->
-      KC.sweep ~presumption:KN.Presume_abort ~durable_wal:true ~n_sites:4 ~k:1 ~seeds:10 ());
+  let base = KC.default_config in
+  let ksweep config = KC.sweep ~config ~k:1 ~seeds:10 () in
+  sweep "presume-abort" (fun () -> ksweep { base with Kv.Db.presumption = KN.Presume_abort });
   sweep "presume-commit + read-only" (fun () ->
-      KC.sweep ~presumption:KN.Presume_commit ~read_only_opt:true ~durable_wal:true ~n_sites:4
-        ~k:1 ~seeds:10 ());
+      ksweep { base with Kv.Db.presumption = KN.Presume_commit; read_only_opt = true });
   sweep "group commit + pipelining" (fun () ->
-      KC.sweep ~group_commit:gc ~sync_latency:0.3 ~pipeline_depth:4 ~durable_wal:true ~n_sites:4
-        ~k:1 ~seeds:10 ());
+      ksweep { base with Kv.Db.group_commit = Some gc; sync_latency = 0.3; pipeline_depth = 4 });
   sweep "all levers" (fun () ->
-      KC.sweep ~presumption:KN.Presume_commit ~read_only_opt:true ~group_commit:gc
-        ~sync_latency:0.3 ~pipeline_depth:4 ~durable_wal:true ~n_sites:4 ~k:1 ~seeds:10 ())
+      ksweep
+        {
+          base with
+          Kv.Db.presumption = KN.Presume_commit;
+          read_only_opt = true;
+          group_commit = Some gc;
+          sync_latency = 0.3;
+          pipeline_depth = 4;
+        })
 
 let test_engine_lever_combos_sweep_clean () =
   let rb = Lazy.force rb_c3 in
@@ -224,17 +247,25 @@ let test_engine_lever_combos_sweep_clean () =
     let s = f () in
     Alcotest.(check int) (name ^ " clean") 0 (List.length s.C.violations_by_oracle)
   in
-  sweep "presume-abort" (fun () -> C.sweep ~presumption:R.Presume_abort rb ~k:1 ~seeds:15 ());
-  sweep "presume-commit" (fun () -> C.sweep ~presumption:R.Presume_commit rb ~k:1 ~seeds:15 ());
-  sweep "read-only participant" (fun () -> C.sweep ~read_only:[ 2 ] rb ~k:1 ~seeds:15 ());
+  let base = C.default_config rb in
+  let esweep ?(seeds = 15) config = C.sweep ~config rb ~k:1 ~seeds () in
+  let all_levers =
+    {
+      base with
+      R.presumption = R.Presume_abort;
+      read_only = [ 2 ];
+      group_commit = Some egc;
+      sync_latency = 0.3;
+    }
+  in
+  sweep "presume-abort" (fun () -> esweep { base with R.presumption = R.Presume_abort });
+  sweep "presume-commit" (fun () -> esweep { base with R.presumption = R.Presume_commit });
+  sweep "read-only participant" (fun () -> esweep { base with R.read_only = [ 2 ] });
   sweep "group commit + sync latency" (fun () ->
-      C.sweep ~group_commit:egc ~sync_latency:0.3 rb ~k:1 ~seeds:15 ());
-  sweep "all levers" (fun () ->
-      C.sweep ~presumption:R.Presume_abort ~read_only:[ 2 ] ~group_commit:egc ~sync_latency:0.3
-        rb ~k:1 ~seeds:15 ());
+      esweep { base with R.group_commit = Some egc; sync_latency = 0.3 });
+  sweep "all levers" (fun () -> esweep all_levers);
   sweep "all levers under detector" (fun () ->
-      C.sweep ~presumption:R.Presume_abort ~read_only:[ 2 ] ~group_commit:egc ~sync_latency:0.3
-        ~detector:true rb ~k:1 ~seeds:10 ())
+      esweep ~seeds:10 { all_levers with R.detector = true })
 
 (* ---------------- group commit amortizes, pipelining overlaps ---------------- *)
 
@@ -279,8 +310,10 @@ let test_kv_group_commit_amortizes_syncs () =
    crash site 1 at t=27 with prepare #28 delayed past the crash). *)
 let test_kv_orphan_prepare_is_refused () =
   let o =
-    KC.run_one ~protocol:KN.Three_phase ~n_sites:3 ~presumption:KN.Presume_commit
-      ~sync_latency:0.3 ~k:1 ~seed:0 ()
+    KC.run_one
+      ~config:
+        { KC.default_config with Kv.Db.presumption = KN.Presume_commit; sync_latency = 0.3 }
+      ~protocol:KN.Three_phase ~n_sites:3 ~k:1 ~seed:0 ()
   in
   Alcotest.(check int) "no violations" 0 (List.length o.KC.violations);
   let refused =

@@ -14,6 +14,14 @@ module M = Sim.Metrics
 let rb_c3 = lazy (Engine.Rulebook.compile (Core.Catalog.central_3pc 3))
 let rb_c4 = lazy (Engine.Rulebook.compile (Core.Catalog.central_3pc 4))
 
+(* [rb]'s chaos defaults, the timeout detector on unless [detector] is false *)
+let config ?(detector = true) ?(fencing = true) ?(tracing = false) rb =
+  { (C.default_config rb) with R.detector; fencing; tracing }
+
+let run_plan ?detector ?fencing ?tracing rb ~plan ~seed =
+  let rb = Lazy.force rb in
+  C.run_plan ~config:(config ?detector ?fencing ?tracing rb) rb ~plan ~seed ()
+
 let has o vs = List.exists (fun (v : C.violation) -> v.C.oracle = o) vs
 let plan_of = FP.of_string_exn
 
@@ -49,9 +57,7 @@ let test_crash_hooks_compose () =
 let test_detector_terminates_after_real_crash () =
   (* no oracle: the survivors must suspect the crashed coordinator by
      timeout, elect a backup and finish the transaction on their own *)
-  let result, violations =
-    C.run_plan (Lazy.force rb_c3) ~detector:true ~plan:(plan_of "crash site=1 at=0.5") ~seed:3 ()
-  in
+  let result, violations = run_plan rb_c3 ~plan:(plan_of "crash site=1 at=0.5") ~seed:3 in
   Alcotest.(check int) "no violations" 0 (List.length violations);
   Alcotest.(check bool) "consistent" true result.R.consistent;
   Alcotest.(check bool) "operational sites decided" true result.R.all_operational_decided;
@@ -70,9 +76,7 @@ let test_false_suspicion_retracts_and_run_decides () =
      suspected while stalled, the suspicion is retracted when its
      heartbeats resume, and the unwarranted freeze thaws — the run must
      still decide everywhere, with zero violations *)
-  let result, violations =
-    C.run_plan (Lazy.force rb_c3) ~detector:true ~plan:(plan_of stall_plan) ~seed:5 ()
-  in
+  let result, violations = run_plan rb_c3 ~plan:(plan_of stall_plan) ~seed:5 in
   Alcotest.(check bool) "somebody was falsely suspected" true
     (M.counter result.R.run_metrics "false_suspicions" >= 1);
   Alcotest.(check int) "no violations" 0 (List.length violations);
@@ -83,9 +87,7 @@ let test_stall_wakeup_grace () =
   (* waking from a stall refreshes the sleeper's last-heard table: site 2
      must not mass-suspect the peers whose messages were parked during
      its pause *)
-  let result, _ =
-    C.run_plan (Lazy.force rb_c3) ~detector:true ~tracing:true ~plan:(plan_of stall_plan) ~seed:5 ()
-  in
+  let result, _ = run_plan ~tracing:true rb_c3 ~plan:(plan_of stall_plan) ~seed:5 in
   let offending =
     List.filter
       (fun (e : Sim.World.trace_entry) ->
@@ -103,7 +105,7 @@ let test_oracle_mode_has_no_detector_traffic () =
      heartbeats, suspicions or timeout elections: pre-detector runs
      replay unchanged *)
   let result, violations =
-    C.run_plan (Lazy.force rb_c3) ~tracing:true ~plan:(plan_of "crash site=1 at=0.5") ~seed:3 ()
+    run_plan ~detector:false ~tracing:true rb_c3 ~plan:(plan_of "crash site=1 at=0.5") ~seed:3
   in
   Alcotest.(check int) "no violations" 0 (List.length violations);
   Alcotest.(check int) "no false suspicions" 0 (M.counter result.R.run_metrics "false_suspicions");
@@ -149,9 +151,7 @@ let test_election_matches_rank_rule () =
   List.iter
     (fun (plan, expected_leader) ->
       let oracle, ov = C.run_plan (Lazy.force rb_c3) ~plan:(plan_of plan) ~seed:11 () in
-      let detect, dv =
-        C.run_plan (Lazy.force rb_c3) ~detector:true ~plan:(plan_of plan) ~seed:11 ()
-      in
+      let detect, dv = run_plan rb_c3 ~plan:(plan_of plan) ~seed:11 in
       Alcotest.(check int) (plan ^ ": oracle run clean") 0 (List.length ov);
       Alcotest.(check int) (plan ^ ": detector run clean") 0 (List.length dv);
       Alcotest.(check (list int)) (plan ^ ": same leaders as the oracle") (leaders_of oracle)
@@ -187,14 +187,9 @@ let fencing_pinned =
    site=3 sent=0"
 
 let test_fencing_ablation_pinned () =
-  let _, off =
-    C.run_plan (Lazy.force rb_c4) ~detector:true ~fencing:false ~plan:(plan_of fencing_pinned)
-      ~seed:1 ()
-  in
+  let _, off = run_plan ~fencing:false rb_c4 ~plan:(plan_of fencing_pinned) ~seed:1 in
   Alcotest.(check bool) "no fencing: atomicity violated" true (has C.Atomicity off);
-  let on_result, on_ =
-    C.run_plan (Lazy.force rb_c4) ~detector:true ~plan:(plan_of fencing_pinned) ~seed:1 ()
-  in
+  let on_result, on_ = run_plan rb_c4 ~plan:(plan_of fencing_pinned) ~seed:1 in
   Alcotest.(check bool) "fencing: atomicity holds" false (has C.Atomicity on_);
   Alcotest.(check bool) "fencing: no split-brain" false (has C.Split_brain on_);
   Alcotest.(check bool)
@@ -203,15 +198,14 @@ let test_fencing_ablation_pinned () =
 
 let test_fencing_counterexample_shrinks_and_replays () =
   let minimal, _runs =
-    C.shrink (Lazy.force rb_c4) ~detector:true ~fencing:false ~seed:1 ~oracle:C.Atomicity
+    let rb = Lazy.force rb_c4 in
+    C.shrink ~config:(config ~fencing:false rb) rb ~seed:1 ~oracle:C.Atomicity
       (plan_of fencing_pinned)
   in
   (* all three faults are load-bearing: drop any one and the split heals *)
   Alcotest.(check int) "three faults are minimal" 3 (FP.fault_count minimal);
   let reloaded = plan_of (FP.to_string minimal) in
-  let _, violations =
-    C.run_plan (Lazy.force rb_c4) ~detector:true ~fencing:false ~plan:reloaded ~seed:1 ()
-  in
+  let _, violations = run_plan ~fencing:false rb_c4 ~plan:reloaded ~seed:1 in
   Alcotest.(check bool) "reloaded plan still splits the brain" true (has C.Atomicity violations)
 
 (* ---------------- the database harness under the detector ---------------- *)
@@ -227,7 +221,11 @@ let kv_safety_violations (s : Kv.Chaos_db.summary) =
 let test_kv_detector_sweep_safe () =
   (* the end-to-end bank under timeout suspicion: slower terminations are
      acceptable, lost money or split decisions are not *)
-  let s = Kv.Chaos_db.sweep ~n_sites:4 ~detector:true ~k:1 ~seeds:12 () in
+  let s =
+    Kv.Chaos_db.sweep
+      ~config:{ Kv.Chaos_db.default_config with Kv.Db.detector = true }
+      ~k:1 ~seeds:12 ()
+  in
   Alcotest.(check int) "12 seeds run" 12 s.Kv.Chaos_db.seeds_run;
   Alcotest.(check int) "no safety violations" 0 (List.length (kv_safety_violations s))
 

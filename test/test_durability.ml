@@ -14,6 +14,10 @@ module KC = Kv.Chaos_db
 let rb_c3 = lazy (Engine.Rulebook.compile (Core.Catalog.central_3pc 3))
 let rb_d3 = lazy (Engine.Rulebook.compile (Core.Catalog.decentralized_3pc 3))
 
+(* the mis-placed force point: append, send, then sync *)
+let late_force () =
+  { (C.default_config (Lazy.force rb_c3)) with Engine.Runtime.late_force = true }
+
 let has_durability vs = List.exists (fun (v : C.violation) -> v.C.oracle = C.Durability) vs
 
 (* ---------------- torn/corrupt faults are vacuous under the rule ---------------- *)
@@ -46,7 +50,7 @@ let test_late_force_pinned_plan_caught () =
      cannot justify.  The same plan under the correct force order is
      breach-free. *)
   let plan = FP.of_string_exn late_force_plan in
-  let _, late = C.run_plan ~late_force:true (Lazy.force rb_c3) ~plan ~seed:7 () in
+  let _, late = C.run_plan ~config:(late_force ()) (Lazy.force rb_c3) ~plan ~seed:7 () in
   Alcotest.(check bool) "late force breaches durability" true (has_durability late);
   let _, correct = C.run_plan (Lazy.force rb_c3) ~plan ~seed:7 () in
   Alcotest.(check bool) "correct force order is clean" false (has_durability correct)
@@ -59,17 +63,19 @@ let test_late_force_found_and_shrunk_by_sweep () =
   let rec first_breach seed =
     if seed > 100 then Alcotest.fail "no durability breach found in seeds 0..100"
     else
-      let o = C.run_one ~late_force:true (Lazy.force rb_c3) ~k:1 ~seed () in
+      let o = C.run_one ~config:(late_force ()) (Lazy.force rb_c3) ~k:1 ~seed () in
       if has_durability o.C.violations then (seed, o.C.plan) else first_breach (seed + 1)
   in
   let seed, plan = first_breach 0 in
   Alcotest.(check int) "seed 34 is the first breach" 34 seed;
   let minimal, _runs =
-    C.shrink ~late_force:true (Lazy.force rb_c3) ~seed ~oracle:C.Durability plan
+    C.shrink ~config:(late_force ()) (Lazy.force rb_c3) ~seed ~oracle:C.Durability plan
   in
   Alcotest.(check bool) "shrunk to at most 2 faults" true (FP.fault_count minimal <= 2);
   let reloaded = FP.of_string_exn (FP.to_string minimal) in
-  let _, violations = C.run_plan ~late_force:true (Lazy.force rb_c3) ~plan:reloaded ~seed () in
+  let _, violations =
+    C.run_plan ~config:(late_force ()) (Lazy.force rb_c3) ~plan:reloaded ~seed ()
+  in
   Alcotest.(check bool) "reloaded minimal plan still trips the oracle" true
     (has_durability violations)
 
@@ -118,7 +124,9 @@ let test_kv_durable_run_equals_memory_run () =
   List.iter
     (fun seed ->
       let a = KC.run_one ~n_sites:4 ~k:1 ~seed () in
-      let b = KC.run_one ~n_sites:4 ~k:1 ~seed ~durable_wal:false () in
+      let b =
+        KC.run_one ~config:{ KC.default_config with Kv.Db.durable_wal = false } ~k:1 ~seed ()
+      in
       Alcotest.(check int) (Fmt.str "seed %d committed" seed) b.KC.result.Kv.Db.committed
         a.KC.result.Kv.Db.committed;
       Alcotest.(check int) (Fmt.str "seed %d aborted" seed) b.KC.result.Kv.Db.aborted

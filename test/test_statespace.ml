@@ -122,7 +122,7 @@ let test_model_check_differential () =
           let cfg = check_config (e.Core.Catalog.build n) k `Skeen in
           assert_reports_equal
             (Fmt.str "%s n=%d k=%d" e.Core.Catalog.label n k)
-            (MC.run cfg) (Engine.Model_check_ref.run cfg))
+            (MC.run cfg) (Reference.Model_check_ref.run cfg))
         [ (2, 0); (2, 1); (2, 2); (3, 0); (3, 1) ])
     Core.Catalog.all
 
@@ -134,7 +134,7 @@ let test_model_check_differential_quorum () =
           let cfg = check_config (e.Core.Catalog.build n) k (`Quorum ((n / 2) + 1)) in
           assert_reports_equal
             (Fmt.str "%s n=%d k=%d quorum" e.Core.Catalog.label n k)
-            (MC.run cfg) (Engine.Model_check_ref.run cfg))
+            (MC.run cfg) (Reference.Model_check_ref.run cfg))
         [ (2, 1); (3, 1) ])
     Core.Catalog.all
 
@@ -143,11 +143,11 @@ let test_model_check_differential_quorum () =
    protocols too, and both must still see 2PC-family blocking. *)
 let test_model_check_differential_broken () =
   let cfg = check_config (Core.Catalog.central_2pc_hasty 3) 1 `Skeen in
-  let a = MC.run cfg and b = Engine.Model_check_ref.run cfg in
+  let a = MC.run cfg and b = Reference.Model_check_ref.run cfg in
   assert_reports_equal "hasty-2pc n=3 k=1" a b;
   Alcotest.(check bool) "hasty 2PC blocks" false a.MC.nonblocking;
   let cfg = check_config (Core.Catalog.one_pc 3) 1 `Skeen in
-  let a = MC.run cfg and b = Engine.Model_check_ref.run cfg in
+  let a = MC.run cfg and b = Reference.Model_check_ref.run cfg in
   assert_reports_equal "1pc n=3 k=1" a b;
   Alcotest.(check bool) "1PC blocks" false a.MC.nonblocking
 
