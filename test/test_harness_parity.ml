@@ -1,5 +1,5 @@
 (** Pinned digests of whole chaos sweeps and guided explore searches on
-    both harnesses, one per lever configuration: the verdict counts, the
+    the engine, kv and Paxos Commit harnesses, one per lever configuration: the verdict counts, the
     shrunk plans or schedules and the deterministic metrics JSON
     ({!Sim.Metrics.to_json} [~drop_wall:true]); for the searches, the
     bug list and the feature count.  They pin what every lever does to
@@ -119,6 +119,40 @@ let kv_cases =
         { c with Kv.Db.durable_wal = false });
   ]
 
+(* ---------------- Paxos Commit sweeps: 50 seeds ---------------- *)
+
+(* Every failing seed's verdicts and generated plan, then each seed's own
+   run registry: the Paxos sweep registry holds only run counts. *)
+let paxos_digest failing per_seed =
+  let failing =
+    String.concat "|"
+      (List.map
+         (fun (seed, vs, plan) ->
+           Printf.sprintf "%d:%s:%s" seed
+             (String.concat ","
+                (List.map (fun (o, detail) -> Printf.sprintf "%s=%s" (C.oracle_name o) detail) vs))
+             (FP.to_string plan))
+         failing)
+  in
+  digest (String.concat "\n" (failing :: List.map metrics_json per_seed))
+
+let paxos_case ~n_sites ~f ~k expected =
+  ( Printf.sprintf "n=%d f=%d k=%d" n_sites f k,
+    expected,
+    fun () ->
+      let s = Engine.Paxos.sweep ~n_sites ~f ~k ~seeds:50 () in
+      paxos_digest
+        (List.map
+           (fun (seed, vs, plan) ->
+             (seed, List.map (fun (v : C.violation) -> (v.C.oracle, v.C.detail)) vs, plan))
+           s.Engine.Paxos.ps_failing)
+        (List.init 50 (fun seed ->
+             (Engine.Paxos.run_one ~n_sites ~f ~k ~seed ()).Engine.Paxos.ro_result.R.run_metrics))
+  )
+
+let paxos_cases =
+  [ paxos_case ~n_sites:5 ~f:1 ~k:2 "a27e3ecfec443e65a8cba83c496191e5"; paxos_case ~n_sites:4 ~f:1 ~k:1 "220f01d526dfd605d6e2034ba1897fb9" ]
+
 (* ---------------- 48-run guided searches ---------------- *)
 
 let explore_digest (r : E.result) =
@@ -156,4 +190,5 @@ let case harness to_digest (name, expected, run) =
 let suite =
   List.map (case "engine sweep" Fun.id) engine_cases
   @ List.map (case "kv sweep" kv_digest) kv_cases
+  @ List.map (case "paxos sweep" Fun.id) paxos_cases
   @ List.map (case "explore" explore_digest) explore_cases
