@@ -484,7 +484,7 @@ let shrink ?metrics ?config rulebook ~seed ~oracle plan =
   let still_fails p =
     incr runs;
     (match metrics with Some m -> Sim.Metrics.incr m "shrink_runs" | None -> ());
-    let _, vs = run_plan ?metrics ?config rulebook ~plan:p ~seed () in
+    let _, vs = run_plan ?config rulebook ~plan:p ~seed () in
     List.exists (fun v -> v.oracle = oracle) vs
   in
   let rec reduce candidates_of p =

@@ -131,7 +131,8 @@ val shrink :
 (** Greedy minimisation: repeatedly drop single faults, then round fault
     times, keeping any candidate that still trips [oracle] under the same
     seed and [config].  Returns the minimal plan and the number of re-runs
-    spent. *)
+    spent; [metrics] counts them as [shrink_runs] and nothing else of the
+    re-runs. *)
 
 val sweep :
   ?profile:Sim.Nemesis.profile ->

@@ -68,7 +68,7 @@ let engine_cases =
           R.group_commit = Some { Engine.Wal.max_batch = 4; max_wait = 0.05 };
           sync_latency = 0.3;
         });
-    engine_case "late force" "39067b8fe153953dae20fe9ebedb5869" (fun c ->
+    engine_case "late force" "b889492eb0ac20b6384912daf32342f2" (fun c ->
         { c with R.late_force = true });
     engine_case ~profile "detector on, fencing off" "2834efbe5f3a429cab1eb326056754f0" (fun c ->
         { c with R.detector = true; fencing = false });

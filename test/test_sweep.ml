@@ -112,6 +112,24 @@ let test_kv_sweep_workers_unobservable () =
   Alcotest.(check string) "merged deterministic metrics"
     (det_json seq.KC.metrics) (det_json par.KC.metrics)
 
+(* The sweep registry aggregates each seed's detector counters once:
+   the late-force config trips a durability violation, so the sweep also
+   shrinks, and those re-runs must add only to [shrink_runs]. *)
+let test_engine_sweep_counts_seed_runs_only () =
+  let rb = Engine.Rulebook.compile (Core.Catalog.central_3pc 3) in
+  let config = { (C.default_config rb) with Engine.Runtime.late_force = true } in
+  let s = C.sweep ~config rb ~k:1 ~seeds:40 () in
+  Alcotest.(check bool) "the sweep shrank something" true (M.counter s.C.metrics "shrink_runs" > 0);
+  let runs = List.init 40 (fun seed -> C.run_one ~config rb ~k:1 ~seed ()) in
+  List.iter
+    (fun name ->
+      Alcotest.(check int) name
+        (List.fold_left
+           (fun acc (o : C.run_outcome) -> acc + M.counter o.C.result.Engine.Runtime.run_metrics name)
+           0 runs)
+        (M.counter s.C.metrics name))
+    [ "false_suspicions"; "elections_started"; "elections"; "epoch_rejected_directives" ]
+
 (* 200 seeds at 2 and 4 workers, three times each, against the
    sequential sweep, byte for byte: the counterexamples or failing seeds
    and the deterministic metrics, on both harnesses.  Every worker
@@ -180,6 +198,8 @@ let suite =
     Alcotest.test_case "engine chaos: workers unobservable" `Quick
       test_engine_sweep_workers_unobservable;
     Alcotest.test_case "kv chaos: workers unobservable" `Quick test_kv_sweep_workers_unobservable;
+    Alcotest.test_case "engine chaos: sweep counts detector activity of its seeds only" `Quick
+      test_engine_sweep_counts_seed_runs_only;
     Alcotest.test_case "engine chaos: repeated parallel sweeps = sequential" `Quick
       test_engine_parallel_sweeps_repeat;
     Alcotest.test_case "kv chaos: repeated parallel sweeps = sequential" `Quick
