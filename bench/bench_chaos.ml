@@ -20,6 +20,17 @@ let count_for = Helpers_bench.count_for
    Sim.Sweep; results are byte-identical whatever the value. *)
 let workers = Helpers_bench.arg_int "--workers" ~default:1 Sys.argv
 
+(* the shrunk counterexamples of a sweep, with their seeds *)
+let counterexamples (s : _ Engine.Harness.summary) =
+  List.filter_map
+    (fun (f : _ Engine.Harness.failing) -> Option.map (fun cx -> (f.seed, cx)) f.shrunk)
+    s.failing
+
+let min_shrunk_faults s =
+  List.fold_left
+    (fun a (_, cx) -> min a (Engine.Failure_plan.fault_count cx.Engine.Harness.cx_plan))
+    max_int (counterexamples s)
+
 (* ---------------- full bench: protocol-level rows ---------------- *)
 
 (* expected_blocking marks rows where violations are the *correct*
@@ -40,16 +51,9 @@ let engine_row (label, build, n, k, seeds, expected_blocking) =
   let rb = Engine.Rulebook.compile (build n) in
   let summary, wall = time (fun () -> Engine.Chaos.sweep rb ~workers ~k ~seeds ()) in
   let by = summary.Engine.Chaos.violations_by_oracle in
-  let shrink_runs =
-    List.fold_left
-      (fun a cx -> a + cx.Engine.Chaos.cx_shrink_runs)
-      0 summary.Engine.Chaos.counterexamples
-  in
-  let min_shrunk =
-    List.fold_left
-      (fun a cx -> min a cx.Engine.Chaos.cx_shrunk_faults)
-      max_int summary.Engine.Chaos.counterexamples
-  in
+  let cxs = counterexamples summary in
+  let shrink_runs = List.fold_left (fun a (_, cx) -> a + cx.Engine.Harness.cx_shrink_runs) 0 cxs in
+  let min_shrunk = min_shrunk_faults summary in
   Sim.Json.Obj
     [
       ("harness", Sim.Json.Str "protocol");
@@ -63,7 +67,7 @@ let engine_row (label, build, n, k, seeds, expected_blocking) =
       ("violations_progress", Sim.Json.Int (count_for by Engine.Chaos.Progress));
       ( "violations_recovery",
         Sim.Json.Int (count_for by Engine.Chaos.Recovery_convergence) );
-      ("counterexamples_shrunk", Sim.Json.Int (List.length summary.Engine.Chaos.counterexamples));
+      ("counterexamples_shrunk", Sim.Json.Int (List.length cxs));
       ("shrink_runs", Sim.Json.Int shrink_runs);
       ( "min_shrunk_faults",
         if min_shrunk = max_int then Sim.Json.Null else Sim.Json.Int min_shrunk );
@@ -88,11 +92,7 @@ let kv_row (protocol, label, n, k, seeds, expected_blocking) =
     time (fun () -> Kv.Chaos_db.sweep ~protocol ~n_sites:n ~workers ~k ~seeds ())
   in
   let by = summary.Kv.Chaos_db.violations_by_oracle in
-  let min_shrunk =
-    List.fold_left
-      (fun a (_, _, shrunk) -> min a (List.length shrunk))
-      max_int summary.Kv.Chaos_db.failing
-  in
+  let min_shrunk = min_shrunk_faults summary in
   Sim.Json.Obj
     [
       ("harness", Sim.Json.Str "kv");
@@ -141,16 +141,15 @@ let smoke () =
   check "central-2pc found no progress (blocking) violation"
     (count_for by2 Engine.Chaos.Progress > 0);
   check "central-2pc violated atomicity" (count_for by2 Engine.Chaos.Atomicity = 0);
-  check "central-2pc produced no shrunk counterexample"
-    (s2.Engine.Chaos.counterexamples <> []);
+  check "central-2pc produced no shrunk counterexample" (counterexamples s2 <> []);
   List.iter
-    (fun cx ->
+    (fun (seed, cx) ->
+      let faults = Engine.Failure_plan.fault_count cx.Engine.Harness.cx_plan in
       check
-        (Fmt.str "seed %d counterexample has %d faults (> 2): %s" cx.Engine.Chaos.cx_seed
-           cx.Engine.Chaos.cx_shrunk_faults
-           (Engine.Failure_plan.to_string cx.Engine.Chaos.cx_plan))
-        (cx.Engine.Chaos.cx_shrunk_faults <= 2))
-    s2.Engine.Chaos.counterexamples;
+        (Fmt.str "seed %d counterexample has %d faults (> 2): %s" seed faults
+           (Engine.Failure_plan.to_string cx.cx_plan))
+        (faults <= 2))
+    (counterexamples s2);
   (* decentralized 2PC blocks too — its first blocking seed sits deeper
      in the corpus, hence the larger sweep *)
   let rbd2 = Engine.Rulebook.compile (Core.Catalog.decentralized_2pc 3) in
@@ -160,12 +159,12 @@ let smoke () =
     (count_for byd2 Engine.Chaos.Progress > 0);
   check "decentralized-2pc violated atomicity" (count_for byd2 Engine.Chaos.Atomicity = 0);
   List.iter
-    (fun cx ->
+    (fun (seed, cx) ->
+      let faults = Engine.Failure_plan.fault_count cx.Engine.Harness.cx_plan in
       check
-        (Fmt.str "decentralized-2pc seed %d counterexample has %d faults (> 2)"
-           cx.Engine.Chaos.cx_seed cx.Engine.Chaos.cx_shrunk_faults)
-        (cx.Engine.Chaos.cx_shrunk_faults <= 2))
-    sd2.Engine.Chaos.counterexamples;
+        (Fmt.str "decentralized-2pc seed %d counterexample has %d faults (> 2)" seed faults)
+        (faults <= 2))
+    (counterexamples sd2);
   (* both 3PC variants must be clean *)
   List.iter
     (fun (label, build) ->

@@ -203,7 +203,9 @@ let fencing_ablation_row () =
   let _, unfenced = C.run_plan ~config:(detector ~fencing:false rb) rb ~plan ~seed:1 () in
   let _, fenced = C.run_plan ~config:(detector rb) rb ~plan ~seed:1 () in
   let minimal, shrink_runs =
-    C.shrink ~config:(detector ~fencing:false rb) rb ~seed:1 ~oracle:C.Atomicity plan
+    Engine.Harness.shrink
+      (C.harness ~config:(detector ~fencing:false rb) rb)
+      ~seed:1 ~oracle:C.Atomicity plan
   in
   let reloaded = FP.of_string_exn (FP.to_string minimal) in
   let _, replay = C.run_plan ~config:(detector ~fencing:false rb) rb ~plan:reloaded ~seed:1 () in
@@ -265,7 +267,9 @@ let smoke () =
   let _, fenced = C.run_plan ~config:(detector rb) rb ~plan ~seed:1 () in
   check "fencing failed to stop the stale backup" (not (has_atomicity fenced));
   let unfenced_config = detector ~fencing:false rb in
-  let minimal, _ = C.shrink ~config:unfenced_config rb ~seed:1 ~oracle:C.Atomicity plan in
+  let minimal, _ =
+    Engine.Harness.shrink (C.harness ~config:unfenced_config rb) ~seed:1 ~oracle:C.Atomicity plan
+  in
   let _, replay =
     C.run_plan ~config:unfenced_config rb ~plan:(FP.of_string_exn (FP.to_string minimal)) ~seed:1 ()
   in

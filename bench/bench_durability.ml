@@ -247,7 +247,9 @@ let late_force_row () =
         [ ("ablation", Sim.Json.Str "late-force"); ("caught", Sim.Json.Bool false) ]
   | Some (seed, plan) ->
       let config = late_force rb in
-      let minimal, shrink_runs = C.shrink ~config rb ~seed ~oracle:C.Durability plan in
+      let minimal, shrink_runs =
+        Engine.Harness.shrink (C.harness ~config rb) ~seed ~oracle:C.Durability plan
+      in
       let reloaded = FP.of_string_exn (FP.to_string minimal) in
       let _, replay = C.run_plan ~config rb ~plan:reloaded ~seed () in
       Sim.Json.Obj

@@ -82,7 +82,7 @@ let row ?corpus_dir ~label ~budget ~target harness =
   ( Sim.Json.Obj
       [
         ("harness", Sim.Json.Str label);
-        ("n_sites", Sim.Json.Int harness.Engine.Explore.n_sites);
+        ("n_sites", Sim.Json.Int harness.Engine.Harness.n_sites);
         ("guided", mode_json target (guided, g_wall));
         ("random", mode_json target (random, r_wall));
         ( "guided_minus_random_edges",
@@ -92,10 +92,10 @@ let row ?corpus_dir ~label ~budget ~target harness =
     random )
 
 let engine_2pc () =
-  Engine.Explore.engine_harness ~k:1 (Engine.Rulebook.compile (Core.Catalog.central_2pc 3))
+  Engine.Chaos.harness ~k:1 (Engine.Rulebook.compile (Core.Catalog.central_2pc 3))
 
 let engine_3pc () =
-  Engine.Explore.engine_harness ~k:1 (Engine.Rulebook.compile (Core.Catalog.central_3pc 3))
+  Engine.Chaos.harness ~k:1 (Engine.Rulebook.compile (Core.Catalog.central_3pc 3))
 
 let kv_harness protocol =
   Kv.Chaos_db.harness ~config:{ Kv.Chaos_db.default_config with Kv.Db.protocol } ~k:1 ()

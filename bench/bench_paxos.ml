@@ -161,52 +161,30 @@ let matrix_cell family (class_name, plan_of) =
 
 (* ---------------- sweep rows ---------------- *)
 
-let engine_sweep_row ~f ~k ~seeds =
-  Fmt.epr "paxos sweep (engine) n=%d f=%d k=%d seeds=%d...@." n_sites f k seeds;
-  let s, wall = time (fun () -> EP.sweep ~n_sites ~f ~k ~seeds ()) in
-  ( List.length s.EP.ps_failing,
+let sweep_row ~label ~f ~k ~seeds h =
+  Fmt.epr "paxos sweep (%s) n=%d f=%d k=%d seeds=%d...@." label n_sites f k seeds;
+  let s, wall = time (fun () -> Engine.Harness.sweep h ~seeds) in
+  ( List.length s.failing,
     Sim.Json.Obj
       [
-        ("harness", Sim.Json.Str "engine");
+        ("harness", Sim.Json.Str label);
         ("f", Sim.Json.Int f);
         ("n", Sim.Json.Int n_sites);
         ("k", Sim.Json.Int k);
-        ("seeds", Sim.Json.Int s.EP.ps_seeds_run);
-        ("failing", Sim.Json.Int (List.length s.EP.ps_failing));
+        ("seeds", Sim.Json.Int s.seeds_run);
+        ("failing", Sim.Json.Int (List.length s.failing));
         ("wall_s", Sim.Json.Float wall);
         ("schedules_per_sec", Sim.Json.Float (rate seeds wall));
       ] )
 
-(* aim faults at the replicated-coordinator state: the KV harness puts
-   the 2f+1 acceptors on the lowest-numbered sites *)
-let kv_paxos_profile ~f =
-  {
-    Kv.Chaos_db.default_profile with
-    Sim.Nemesis.p_acceptor_crash = 0.5;
-    acceptor_sites = List.init ((2 * f) + 1) (fun i -> i + 1);
-    max_acceptor_crashes = f;
-    p_lease_fault = 0.3;
-  }
+let engine_sweep_row ~f ~k ~seeds =
+  sweep_row ~label:"engine" ~f ~k ~seeds (EP.harness ~k (EP.config ~n_sites ~f ()))
 
 let kv_sweep_row ~f ~k ~seeds =
-  Fmt.epr "paxos sweep (kv) n=%d f=%d k=%d seeds=%d...@." n_sites f k seeds;
-  let s, wall =
-    time (fun () ->
-        Kv.Chaos_db.sweep ~profile:(kv_paxos_profile ~f) ~protocol:(Kv.Node.Paxos f) ~n_sites ~k
-          ~seeds ())
-  in
-  ( List.length s.Kv.Chaos_db.failing,
-    Sim.Json.Obj
-      [
-        ("harness", Sim.Json.Str "kv");
-        ("f", Sim.Json.Int f);
-        ("n", Sim.Json.Int n_sites);
-        ("k", Sim.Json.Int k);
-        ("seeds", Sim.Json.Int s.Kv.Chaos_db.seeds_run);
-        ("failing", Sim.Json.Int (List.length s.Kv.Chaos_db.failing));
-        ("wall_s", Sim.Json.Float wall);
-        ("schedules_per_sec", Sim.Json.Float (rate seeds wall));
-      ] )
+  sweep_row ~label:"kv" ~f ~k ~seeds
+    (Kv.Chaos_db.harness
+       ~config:{ Kv.Chaos_db.default_config with Kv.Db.protocol = Kv.Node.Paxos f; n_sites }
+       ~profile:(Kv.Chaos_db.paxos_profile ~f) ~k ())
 
 (* ---------------- report + gates ---------------- *)
 

@@ -36,12 +36,18 @@ let engine_sweep ~workers ~seeds =
   let rb = Engine.Rulebook.compile (Core.Catalog.central_3pc 3) in
   time (fun () -> C.sweep rb ~workers ~k:1 ~seeds ())
 
-let engine_fingerprint (s : C.summary) =
-  ( metrics_key s.C.metrics,
-    List.map (fun (o, n) -> (C.oracle_name o, n)) s.C.violations_by_oracle,
+(* what the worker count must not change: the merged metrics, the
+   verdict counts, and each failing seed with its (shrunk) plan *)
+let fingerprint oracle_name (s : _ Engine.Harness.summary) =
+  ( metrics_key s.metrics,
+    List.map (fun (o, n) -> (oracle_name o, n)) s.violations_by_oracle,
     List.map
-      (fun cx -> (cx.C.cx_seed, Engine.Failure_plan.to_string cx.C.cx_plan))
-      s.C.counterexamples )
+      (fun (f : _ Engine.Harness.failing) ->
+        let plan = match f.shrunk with Some cx -> cx.cx_plan | None -> f.plan in
+        (f.seed, Engine.Failure_plan.to_string plan))
+      s.failing )
+
+let engine_fingerprint = fingerprint C.oracle_name
 
 let engine_row ~seeds ~seq_wall ~seq_fp (workers, summary, wall) =
   Sim.Json.Obj
@@ -63,12 +69,7 @@ let engine_row ~seeds ~seq_wall ~seq_fp (workers, summary, wall) =
 let kv_sweep ~workers ~seeds =
   time (fun () -> KC.sweep ~protocol:Kv.Node.Three_phase ~n_sites:4 ~workers ~k:1 ~seeds ())
 
-let kv_fingerprint (s : KC.summary) =
-  ( metrics_key s.KC.metrics,
-    List.map (fun (o, n) -> (KC.oracle_name o, n)) s.KC.violations_by_oracle,
-    List.map
-      (fun (seed, _, shrunk) -> (seed, Sim.Nemesis.to_string shrunk))
-      s.KC.failing )
+let kv_fingerprint = fingerprint KC.oracle_name
 
 let kv_row ~seeds ~seq_wall ~seq_fp (workers, summary, wall) =
   Sim.Json.Obj

@@ -228,6 +228,22 @@ let kv_protocol ~cmd label f =
         cmd other;
       exit 2
 
+(* The database harness's base fault profile, by protocol. *)
+let kv_profile = function
+  | Kv.Node.Paxos f -> Kv.Chaos_db.paxos_profile ~f
+  | Kv.Node.Two_phase | Kv.Node.Three_phase -> Kv.Chaos_db.default_profile
+
+(* [-n] for chaos and explore: when omitted, each harness keeps its own
+   default site count. *)
+let harness_sites_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "n"; "sites" ] ~docv:"N"
+        ~doc:
+          "Number of participating sites (default: 3 on the protocol engine and Paxos Commit, 4 \
+           on the database harness).")
+
 let chaos_cmd =
   let protocol_opt =
     Arg.(
@@ -276,7 +292,9 @@ let chaos_cmd =
       value
       & opt (some int) None
       & info [ "replay" ] ~docv:"SEED"
-          ~doc:"Replay one seed with tracing: print its generated plan, verdicts and full event trace.")
+          ~doc:
+            "Replay one seed with tracing: print its generated plan, verdicts and full event \
+             trace.  Exits 1 if it trips an oracle.")
   in
   let plan_arg =
     Arg.(
@@ -286,8 +304,8 @@ let chaos_cmd =
           ~doc:
             "Run one explicit failure plan (the $(b,Failure_plan.to_string) syntax a shrunk \
              counterexample is printed in, e.g. 'crash site=1 at=2; msg nth=4 fault=dup') \
-             instead of generating schedules.  With $(b,--kv) it runs as a nemesis schedule \
-             on workload seed $(b,--seed); step-pinned crash clauses are refused there.")
+             once, traced, on seed $(b,--seed-base) instead of generating schedules.  Exits \
+             1 if it trips an oracle.  With $(b,--kv) step-pinned crash clauses are refused.")
   in
   let partitions_arg =
     Arg.(
@@ -334,7 +352,7 @@ let chaos_cmd =
           ~doc:
             "Drive the database harness instead of a bare protocol instance: the same schedules \
              against a bank-transfer workload, judged by the atomicity, conservation and \
-             nonblocking-progress oracles (central-2pc and central-3pc only).")
+             nonblocking-progress oracles (central-2pc, central-3pc and paxos-commit only).")
   in
   let detector_arg =
     Arg.(
@@ -428,73 +446,30 @@ let chaos_cmd =
       { base with Sim.Nemesis.p_disk_fault = 0.6; lost_flush_weight = lost_flush }
     else base
   in
-  (* --plan goes through the family check before anything runs: a clause the
-     selected protocol cannot execute (e.g. move-crash outside 3PC,
-     acceptor-crash outside Paxos Commit) would otherwise be silently
-     ignored and the run would vacuously pass. *)
-  let parse_plan ~label s =
+  (* --plan goes through the clause check before anything runs: a clause the
+     selected harness cannot execute (e.g. move-crash outside 3PC,
+     acceptor-crash outside Paxos Commit, any step-pinned crash on the
+     database) would otherwise be silently ignored and the run would
+     vacuously pass. *)
+  let parse_plan ~unsupported s =
     match Engine.Failure_plan.of_string s with
     | Error msg ->
         Fmt.epr "skeen chaos: bad --plan: %s@." msg;
         exit 2
     | Ok plan -> (
-        match Engine.Failure_plan.unsupported_clauses ~protocol:label plan with
+        match unsupported plan with
         | [] -> plan
         | msgs ->
             List.iter (fun m -> Fmt.epr "skeen chaos: %s@." m) msgs;
             exit 2)
   in
-  let print_trace = List.iter (fun e -> Fmt.pr "%8.2f  %s@." e.Sim.World.at e.Sim.World.what) in
-  let plan_text plan =
-    match Engine.Failure_plan.to_string plan with "" -> "(no faults)" | s -> s
-  in
-  let run_kv ~config ~profile ~k ~seeds ~seed_base ~workers ~plan ~replay ~metrics_json =
-    let report header schedule result violations =
-      Fmt.pr "%s:@.%s@." header
-        (match Sim.Nemesis.to_string schedule with "" -> "(no faults)" | s -> s);
-      Fmt.pr "%a@." Kv.Db.pp_result result;
-      List.iter (fun v -> Fmt.pr "VIOLATION %a@." Kv.Chaos_db.pp_violation v) violations;
-      print_trace result.Kv.Db.trace;
-      if violations <> [] then exit 1
-    in
-    match (plan, replay) with
-    | Some plan, _ ->
-        let schedule = Engine.Failure_plan.to_schedule plan in
-        if
-          List.exists
-            (function Sim.Nemesis.Step_crash _ | Sim.Nemesis.Backup_crash _ -> true | _ -> false)
-            schedule
-        then begin
-          Fmt.epr "skeen chaos: step-crash, move-crash and decide-crash clauses pin a \
-                   protocol-engine step; the database harness (--kv) cannot run them@.";
-          exit 2
-        end;
-        let result, violations = Kv.Chaos_db.run_schedule ~config ~seed:seed_base schedule in
-        report "schedule" schedule result violations
-    | None, Some seed ->
-        let o = Kv.Chaos_db.run_one ~profile ~config ~k ~seed () in
-        report (Printf.sprintf "seed %d schedule" seed) o.Kv.Chaos_db.schedule o.Kv.Chaos_db.result
-          o.Kv.Chaos_db.violations
-    | None, None ->
-        let summary, wall =
-          Sim.Clock.time (fun () ->
-              Kv.Chaos_db.sweep ~profile ~config ~seed_base ~workers ~k ~seeds ())
-        in
-        Fmt.pr "%a@." Kv.Chaos_db.pp_summary summary;
-        Fmt.pr "%.0f schedules/sec (%.2f s wall)@."
-          (if wall > 0.0 then float_of_int seeds /. wall else 0.0)
-          wall;
-        List.iter
-          (fun (seed, vs, shrunk) ->
-            Fmt.pr "@.seed %d:@." seed;
-            List.iter (fun v -> Fmt.pr "  %a@." Kv.Chaos_db.pp_violation v) vs;
-            Fmt.pr "  shrunk schedule: %s@."
-              (match Sim.Nemesis.to_string shrunk with "" -> "(no faults)" | s -> s))
-          summary.Kv.Chaos_db.failing;
-        Option.iter
-          (fun file -> write_metrics_json file (Sim.Metrics.to_json summary.Kv.Chaos_db.metrics))
-          metrics_json;
-        if summary.Kv.Chaos_db.violations_by_oracle <> [] then exit 1
+  let kv_unsupported (plan : Engine.Failure_plan.t) =
+    if plan.step_crashes = [] && plan.move_crashes = [] && plan.decide_crashes = [] then []
+    else
+      [
+        "step-crash, move-crash and decide-crash clauses pin a protocol-engine step; the \
+         database harness (--kv) cannot run them";
+      ]
   in
   let run label n f k seeds seed_base workers until replay plan_str partitions drops quorum
       disk_faults lost_flush kv detector_flag no_fencing detector_faults heartbeat_period
@@ -519,153 +494,107 @@ let chaos_cmd =
       in
       if detector_faults then Sim.Nemesis.with_detector_faults p else p
     in
+    let ignoring why flags =
+      List.iter
+        (fun (flag, set) -> if set then Fmt.epr "skeen chaos: %s %s; ignoring it@." flag why)
+        flags
+    in
+    let presumption_of abort commit = Option.map (function `Abort -> abort | `Commit -> commit) presumption in
+    (* plan, replay and sweep: one path for every harness *)
+    let chaos ~unsupported (h : (_, _) Engine.Harness.t) =
+      let report (result, violations) =
+        Fmt.pr "%a@." h.pp_result result;
+        List.iter (fun v -> Fmt.pr "VIOLATION %a@." (Engine.Harness.pp_violation h) v) violations;
+        Fmt.pr "@[<v>%a@]@." Engine.Harness.pp_trace (h.trace result);
+        if violations <> [] then exit 1
+      in
+      match (plan_str, replay) with
+      | Some s, _ ->
+          let plan = parse_plan ~unsupported s in
+          Fmt.pr "plan: %a@." Engine.Harness.pp_plan plan;
+          report (Engine.Harness.replay h ~seed:seed_base plan)
+      | None, Some seed ->
+          let plan = h.plan_of_seed ~seed in
+          Fmt.pr "seed %d generates: %a@." seed Engine.Harness.pp_plan plan;
+          report (Engine.Harness.replay h ~seed plan)
+      | None, None ->
+          let summary, wall =
+            Sim.Clock.time (fun () -> Engine.Harness.sweep ~seed_base ~workers h ~seeds)
+          in
+          Fmt.pr "chaos %s n=%d k=%d: %a@." h.name h.n_sites k (Engine.Harness.pp_summary h) summary;
+          Fmt.pr "%.0f schedules/sec (%.2f s wall)@."
+            (if wall > 0.0 then float_of_int seeds /. wall else 0.0)
+            wall;
+          List.iter (fun f -> Fmt.pr "@.%a@." (Engine.Harness.pp_failing h) f) summary.failing;
+          Option.iter
+            (fun file -> write_metrics_json file (Sim.Metrics.to_json summary.metrics))
+            metrics_json;
+          if summary.failing <> [] then exit 1
+    in
     if kv then begin
-      if election_timeout <> 4.0 then
-        Fmt.epr "skeen chaos: --election-timeout applies only to the protocol engine (the \
-                 database harness has no election timeout); ignoring it@.";
+      ignoring "applies only to the protocol engine (the database harness has no election timeout)"
+        [ ("--election-timeout", election_timeout <> 4.0) ];
       let protocol = kv_protocol ~cmd:"chaos" label f in
+      let n = Option.value n ~default:Kv.Chaos_db.default_config.Kv.Db.n_sites in
       let config =
         Kv.Db.config ~protocol ~n_sites:n
           ~termination:
             (if quorum then Kv.Node.T_quorum (Engine.Runtime.majority n) else Kv.Node.T_skeen)
-          ?presumption:
-            (Option.map
-               (function `Abort -> Kv.Node.Presume_abort | `Commit -> Kv.Node.Presume_commit)
-               presumption)
+          ?presumption:(presumption_of Kv.Node.Presume_abort Kv.Node.Presume_commit)
           ~read_only_opt
           ?group_commit:
             (if group_commit > 0 then Some { Kv.Kv_wal.max_batch = group_commit; max_wait = 0.05 }
              else None)
-          ~sync_latency ~pipeline_depth ~until
-          ~tracing:(plan_str <> None || replay <> None)
-          ~detector ~fencing
-          ~heartbeat_period ~suspicion_timeout ()
+          ~sync_latency ~pipeline_depth ~until ~detector ~fencing ~heartbeat_period
+          ~suspicion_timeout ()
       in
-      let profile = profile Kv.Chaos_db.default_profile in
-      let profile =
-        match protocol with
-        | Kv.Node.Paxos f ->
-            (* aim faults at the replicated-coordinator state: the KV harness
-               puts the 2f+1 acceptors on the lowest-numbered sites *)
-            {
-              profile with
-              Sim.Nemesis.p_acceptor_crash = 0.5;
-              acceptor_sites = List.init ((2 * f) + 1) (fun i -> i + 1);
-              max_acceptor_crashes = f;
-              p_lease_fault = 0.3;
-            }
-        | _ -> profile
-      in
-      let plan = Option.map (parse_plan ~label) plan_str in
-      run_kv ~config ~profile ~k ~seeds ~seed_base ~workers ~plan ~replay ~metrics_json
+      chaos ~unsupported:kv_unsupported
+        (Kv.Chaos_db.harness ~config ~profile:(profile (kv_profile protocol)) ~k ())
     end
     else if label = "paxos-commit" then begin
-      let module EP = Engine.Paxos in
-      let profile = profile (EP.sweep_profile ~n_sites:n ~f) in
-      match (plan_str, replay) with
-      | Some s, _ ->
-          let plan = parse_plan ~label s in
-          let cfg = EP.config ~plan ~seed:seed_base ~tracing:true ~until ~n_sites:n ~f () in
-          let result = EP.run cfg in
-          let violations = EP.violations ~cfg result in
-          Fmt.pr "plan: %s@." (Engine.Failure_plan.to_string plan);
-          Fmt.pr "%a@." Engine.Runtime.pp_result result;
-          List.iter (fun v -> Fmt.pr "VIOLATION %a@." Engine.Chaos.pp_violation v) violations;
-          print_trace result.Engine.Runtime.trace;
-          if violations <> [] then exit 1
-      | None, Some seed ->
-          let o = EP.run_one ~profile ~until ~n_sites:n ~f ~k ~seed () in
-          let cfg =
-            EP.config ~plan:o.EP.ro_plan ~seed ~tracing:true ~until ~n_sites:n ~f ()
-          in
-          let result = EP.run cfg in
-          Fmt.pr "seed %d generates: %s@." seed (plan_text o.EP.ro_plan);
-          Fmt.pr "%a@." Engine.Runtime.pp_result result;
-          List.iter
-            (fun v -> Fmt.pr "VIOLATION %a@." Engine.Chaos.pp_violation v)
-            o.EP.ro_violations;
-          print_trace result.Engine.Runtime.trace
-      | None, None ->
-          let summary, wall =
-            Sim.Clock.time (fun () ->
-                EP.sweep ~profile ~until ~seed_base ~n_sites:n ~f ~k ~seeds ())
-          in
-          Fmt.pr "paxos-commit n=%d f=%d (%d acceptors) k=%d: %d seeds run, %d failing@." n f
-            (List.length (EP.acceptors ~n_sites:n ~f))
-            k summary.EP.ps_seeds_run
-            (List.length summary.EP.ps_failing);
-          Fmt.pr "%.0f schedules/sec (%.2f s wall)@."
-            (if wall > 0.0 then float_of_int seeds /. wall else 0.0)
-            wall;
-          List.iter
-            (fun (seed, vs, plan) ->
-              Fmt.pr "@.seed %d:@." seed;
-              List.iter (fun v -> Fmt.pr "  %a@." Engine.Chaos.pp_violation v) vs;
-              Fmt.pr "  plan: %s@." (plan_text plan))
-            summary.EP.ps_failing;
-          Option.iter
-            (fun file -> write_metrics_json file (Sim.Metrics.to_json summary.EP.ps_metrics))
-            metrics_json;
-          if summary.EP.ps_failing <> [] then exit 1
+      ignoring "is not a lever of Engine.Paxos.config"
+        [
+          ("--presumption", presumption <> None);
+          ("--read-only-opt", read_only_opt);
+          ("--group-commit", group_commit <> 0);
+          ("--sync-latency", sync_latency <> 0.0);
+          ("--detector", detector_flag);
+          ("--no-fencing", no_fencing);
+          ("--heartbeat-period", heartbeat_period <> 1.0);
+          ("--suspicion-timeout", suspicion_timeout <> 5.0);
+          ("--election-timeout", election_timeout <> 4.0);
+          ("--quorum", quorum);
+          ("--pipeline", pipeline_depth <> 1);
+        ];
+      let n = Option.value n ~default:3 in
+      chaos
+        ~unsupported:(Engine.Failure_plan.unsupported_clauses ~protocol:label)
+        (Engine.Paxos.harness
+           ~profile:(profile (Engine.Paxos.sweep_profile ~n_sites:n ~f))
+           ~k
+           (Engine.Paxos.config ~until ~n_sites:n ~f ()))
     end
     else begin
-    if pipeline_depth <> 1 then
-      Fmt.epr "skeen chaos: --pipeline applies only to --kv (the bare protocol engine runs one \
-               transaction); ignoring it@.";
-    let rb = Engine.Rulebook.compile (build label n) in
-    let config =
-      Engine.Runtime.config ~until
-        ~termination:
-          (if quorum then Engine.Runtime.Quorum (Engine.Runtime.majority n)
-           else Engine.Runtime.Skeen)
-        ~tracing:(plan_str <> None || replay <> None)
-        ~detector ~heartbeat_period ~suspicion_timeout ~election_timeout ~fencing
-        ?presumption:
-          (Option.map
-             (function
-               | `Abort -> Engine.Runtime.Presume_abort | `Commit -> Engine.Runtime.Presume_commit)
-             presumption)
-        ?read_only:(if read_only_opt then Some [ n ] else None)
-        ?group_commit:
-          (if group_commit > 0 then Some { Engine.Wal.max_batch = group_commit; max_wait = 0.05 }
-           else None)
-        ~sync_latency rb
-    in
-    let profile = profile Sim.Nemesis.default_profile in
-    let report result violations =
-      Fmt.pr "%a@." Engine.Runtime.pp_result result;
-      List.iter (fun v -> Fmt.pr "VIOLATION %a@." Engine.Chaos.pp_violation v) violations;
-      print_trace result.Engine.Runtime.trace
-    in
-    match (plan_str, replay) with
-    | Some s, _ ->
-        let plan = parse_plan ~label s in
-        let result, violations = Engine.Chaos.run_plan ~config rb ~plan ~seed:seed_base () in
-        Fmt.pr "plan: %s@." (Engine.Failure_plan.to_string plan);
-        report result violations;
-        if violations <> [] then exit 1
-    | None, Some seed ->
-        let { Engine.Chaos.plan; result; violations; _ } =
-          Engine.Chaos.run_one ~profile ~config rb ~k ~seed ()
-        in
-        Fmt.pr "seed %d generates: %s@." seed (plan_text plan);
-        report result violations
-    | None, None ->
-        let summary, wall =
-          Sim.Clock.time (fun () ->
-              Engine.Chaos.sweep ~profile ~config ~seed_base ~workers rb ~k ~seeds ())
-        in
-        Fmt.pr "%a@." Engine.Chaos.pp_summary summary;
-        Fmt.pr "%.0f schedules/sec (%.2f s wall)@."
-          (if wall > 0.0 then float_of_int seeds /. wall else 0.0)
-          wall;
-        List.iter
-          (fun cx -> Fmt.pr "@.%a@." Engine.Chaos.pp_counterexample cx)
-          summary.Engine.Chaos.counterexamples;
-        Option.iter
-          (fun f -> write_metrics_json f (Sim.Metrics.to_json summary.Engine.Chaos.metrics))
-          metrics_json;
-        if summary.Engine.Chaos.violations_by_oracle <> [] then exit 1
+      ignoring "applies only to --kv (the bare protocol engine runs one transaction)"
+        [ ("--pipeline", pipeline_depth <> 1) ];
+      let n = Option.value n ~default:3 in
+      let rb = Engine.Rulebook.compile (build label n) in
+      let config =
+        Engine.Runtime.config ~until
+          ~termination:
+            (if quorum then Engine.Runtime.Quorum (Engine.Runtime.majority n)
+             else Engine.Runtime.Skeen)
+          ~detector ~heartbeat_period ~suspicion_timeout ~election_timeout ~fencing
+          ?presumption:(presumption_of Engine.Runtime.Presume_abort Engine.Runtime.Presume_commit)
+          ?read_only:(if read_only_opt then Some [ n ] else None)
+          ?group_commit:
+            (if group_commit > 0 then Some { Engine.Wal.max_batch = group_commit; max_wait = 0.05 }
+             else None)
+          ~sync_latency rb
+      in
+      chaos
+        ~unsupported:(Engine.Failure_plan.unsupported_clauses ~protocol:label)
+        (Engine.Chaos.harness ~config ~profile:(profile Sim.Nemesis.default_profile) ~k rb)
     end
   in
   Cmd.v
@@ -677,7 +606,8 @@ let chaos_cmd =
           oracles.  Violations are shrunk to a minimal replayable failure plan.  Exits 1 if any \
           violation was found.")
     Term.(
-      const run $ protocol_opt $ sites_arg $ f_arg $ k_arg $ seeds_arg $ seed_base_arg $ workers_arg
+      const run $ protocol_opt $ harness_sites_arg $ f_arg $ k_arg $ seeds_arg $ seed_base_arg
+      $ workers_arg
       $ until_arg $ replay_arg $ plan_arg $ partitions_arg $ drops_arg $ quorum_arg $ disk_faults_arg
       $ lost_flush_arg $ kv_arg $ detector_arg $ no_fencing_arg $ detector_faults_arg
       $ heartbeat_arg $ suspicion_arg $ election_arg $ presumption_arg $ read_only_opt_arg
@@ -692,8 +622,8 @@ let explore_cmd =
       & opt (some protocol_conv) None
       & info [ "protocol" ] ~docv:"PROTOCOL"
           ~doc:
-            "Protocol: central-2pc, decentralized-2pc, central-3pc, decentralized-3pc \
-             (engine harness); with $(b,--kv) also paxos-commit.")
+            "Protocol: central-2pc, decentralized-2pc, central-3pc, decentralized-3pc, \
+             paxos-commit; with $(b,--kv) one of central-2pc, central-3pc and paxos-commit.")
   in
   let kv_arg =
     Arg.(
@@ -766,93 +696,90 @@ let explore_cmd =
     let storm_profile base =
       if storms then { base with Sim.Nemesis.p_storm = 0.7 } else base
     in
-    let harness =
-      if kv then
-        Kv.Chaos_db.harness
-          ~config:
-            {
-              Kv.Chaos_db.default_config with
-              Kv.Db.protocol = kv_protocol ~cmd:"explore" label f;
-              n_sites = (if n = 3 then 4 else n);
-            }
-          ~profile:(storm_profile Kv.Chaos_db.default_profile)
-          ~k ()
-      else if label = "paxos-commit" then begin
-        Fmt.epr
-          "skeen explore: the engine harness does not cover paxos-commit; use --kv \
-           --protocol paxos-commit@.";
-        exit 2
-      end
-      else
-        Engine.Explore.engine_harness
-          ~profile:(storm_profile Sim.Nemesis.default_profile)
-          ~k
-          (Engine.Rulebook.compile (build label n))
-    in
-    if replay then begin
-      match corpus with
-      | None ->
-          Fmt.epr "skeen explore: --replay needs --corpus DIR@.";
-          exit 2
-      | Some dir ->
-          let entries = Engine.Explore.load_corpus ~dir in
-          if entries = [] then begin
-            Fmt.epr "skeen explore: no *.plan files under %s@." dir;
-            exit 2
-          end;
-          let reports = Engine.Explore.replay ~workers harness (List.map snd entries) in
-          let tripped = ref 0 in
-          List.iter2
-            (fun (name, _) (plan, report) ->
-              let vs = report.Engine.Explore.violations in
-              if vs <> [] then incr tripped;
-              Fmt.pr "%s: %s@.  plan: %s@." name
-                (if vs = [] then "clean"
-                 else
-                   String.concat ", "
-                     (List.map (fun (o, d) -> Printf.sprintf "%s (%s)" o d) vs))
-                (match Engine.Failure_plan.to_string plan with "" -> "(no faults)" | s -> s))
-            entries reports;
-          Fmt.pr "@.%d/%d plans tripped an oracle@." !tripped (List.length entries)
-    end
-    else begin
-      let initial =
+    let explore (h : (_, _) Engine.Harness.t) =
+      if replay then begin
         match corpus with
-        | Some dir -> List.map snd (Engine.Explore.load_corpus ~dir)
-        | None -> []
-      in
-      if initial <> [] then
-        Fmt.epr "seeding the search from %d corpus plan(s)@." (List.length initial);
-      let progress ~runs ~coverage ~bugs =
-        Fmt.epr "  %d/%d runs, %d features, %d distinct bugs@." runs budget coverage bugs
-      in
-      let result, wall =
-        Sim.Clock.time (fun () ->
-            Engine.Explore.search ~workers ~seed ~initial ~progress harness ~mode ~budget ())
-      in
-      Fmt.pr "%s %s: %d runs, %d coverage features, corpus %d, %d violating runs (%.2f s)@."
-        result.Engine.Explore.harness_name
-        (Engine.Explore.mode_name result.Engine.Explore.mode)
-        result.Engine.Explore.runs result.Engine.Explore.coverage
-        (List.length result.Engine.Explore.corpus)
-        result.Engine.Explore.violating_runs wall;
-      List.iter
-        (fun (b : Engine.Explore.bug) ->
-          Fmt.pr "@.bug (%s, first at run %d): %s@.  shrunk (%d faults, %d shrink runs): %s@."
-            b.Engine.Explore.bug_oracle b.Engine.Explore.bug_found_at
-            b.Engine.Explore.bug_detail
-            (Engine.Failure_plan.fault_count b.Engine.Explore.bug_shrunk)
-            b.Engine.Explore.bug_shrink_runs
-            (match Engine.Failure_plan.to_string b.Engine.Explore.bug_shrunk with
-            | "" -> "(no faults)"
-            | s -> s))
-        result.Engine.Explore.bugs;
-      match corpus with
-      | Some dir ->
-          Engine.Explore.save_corpus ~dir result;
-          Fmt.pr "@.corpus saved to %s@." dir
-      | None -> ()
+        | None ->
+            Fmt.epr "skeen explore: --replay needs --corpus DIR@.";
+            exit 2
+        | Some dir ->
+            let entries = Engine.Explore.load_corpus ~dir in
+            if entries = [] then begin
+              Fmt.epr "skeen explore: no *.plan files under %s@." dir;
+              exit 2
+            end;
+            let verdicts = Engine.Explore.replay ~workers h (List.map snd entries) in
+            let tripped = ref 0 in
+            List.iter2
+              (fun (name, _) (plan, vs) ->
+                if vs <> [] then incr tripped;
+                Fmt.pr "%s: %s@.  plan: %a@." name
+                  (if vs = [] then "clean"
+                   else
+                     String.concat ", "
+                       (List.map (fun (o, d) -> Printf.sprintf "%s (%s)" (h.oracle_name o) d) vs))
+                  Engine.Harness.pp_plan plan)
+              entries verdicts;
+            Fmt.pr "@.%d/%d plans tripped an oracle@." !tripped (List.length entries)
+      end
+      else begin
+        let initial =
+          match corpus with
+          | Some dir -> List.map snd (Engine.Explore.load_corpus ~dir)
+          | None -> []
+        in
+        if initial <> [] then
+          Fmt.epr "seeding the search from %d corpus plan(s)@." (List.length initial);
+        let progress ~runs ~coverage ~bugs =
+          Fmt.epr "  %d/%d runs, %d features, %d distinct bugs@." runs budget coverage bugs
+        in
+        let result, wall =
+          Sim.Clock.time (fun () ->
+              Engine.Explore.search ~workers ~seed ~initial ~progress h ~mode ~budget ())
+        in
+        Fmt.pr "%s %s: %d runs, %d coverage features, corpus %d, %d violating runs (%.2f s)@."
+          result.Engine.Explore.harness_name
+          (Engine.Explore.mode_name result.Engine.Explore.mode)
+          result.Engine.Explore.runs result.Engine.Explore.coverage
+          (List.length result.Engine.Explore.corpus)
+          result.Engine.Explore.violating_runs wall;
+        List.iter
+          (fun (b : Engine.Explore.bug) ->
+            Fmt.pr "@.bug (%s, first at run %d): %s@.  shrunk (%d faults, %d shrink runs): %a@."
+              b.bug_oracle b.bug_found_at b.bug_detail
+              (Engine.Failure_plan.fault_count b.bug_shrunk)
+              b.bug_shrink_runs Engine.Harness.pp_plan b.bug_shrunk)
+          result.Engine.Explore.bugs;
+        match corpus with
+        | Some dir ->
+            Engine.Explore.save_corpus ~dir result;
+            Fmt.pr "@.corpus saved to %s@." dir
+        | None -> ()
+      end
+    in
+    if kv then begin
+      let protocol = kv_protocol ~cmd:"explore" label f in
+      let d = Kv.Chaos_db.default_config in
+      explore
+        (Kv.Chaos_db.harness
+           ~config:{ d with Kv.Db.protocol; n_sites = Option.value n ~default:d.Kv.Db.n_sites }
+           ~profile:(storm_profile (kv_profile protocol))
+           ~k ())
     end
+    else if label = "paxos-commit" then begin
+      let n = Option.value n ~default:3 in
+      explore
+        (Engine.Paxos.harness
+           ~profile:(storm_profile (Engine.Paxos.sweep_profile ~n_sites:n ~f))
+           ~k
+           (Engine.Paxos.config ~n_sites:n ~f ()))
+    end
+    else
+      explore
+        (Engine.Chaos.harness
+           ~profile:(storm_profile Sim.Nemesis.default_profile)
+           ~k
+           (Engine.Rulebook.compile (build label (Option.value n ~default:3))))
   in
   Cmd.v
     (Cmd.info "explore"
@@ -863,7 +790,7 @@ let explore_cmd =
           scheduled next, violations are shrunk to minimal replayable plans.  The corpus \
           persists as *.plan text files for $(b,--replay) or pinned regression tests.")
     Term.(
-      const run $ protocol_opt $ sites_arg $ f_arg $ k_arg $ budget_arg $ mode_arg $ corpus_arg
+      const run $ protocol_opt $ harness_sites_arg $ f_arg $ k_arg $ budget_arg $ mode_arg $ corpus_arg
       $ replay_arg $ workers_arg $ kv_arg $ seed_arg $ storms_arg)
 
 (* ---------------- model-check ---------------- *)

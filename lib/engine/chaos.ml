@@ -28,11 +28,8 @@
       before its forced write was stable — a repaired-away record must
       never resurrect (or un-decide) a transaction.
 
-    On violation the schedule is greedily shrunk — drop faults one at a
-    time, then round fault times — re-running after each candidate until
-    no single removal preserves the violation.  The minimal plan prints
-    as a {!Failure_plan.to_string} value that pastes straight into a
-    regression test, together with the event trace of its run. *)
+    {!harness} packs all of this into the {!Harness.t} record the sweep,
+    shrinker and replay in {!Harness} run against. *)
 
 type oracle = Atomicity | Progress | Recovery_convergence | Durability | Split_brain
 [@@deriving show { with_path = false }, eq]
@@ -51,28 +48,6 @@ type run_outcome = {
   plan : Failure_plan.t;
   result : Runtime.result;
   violations : violation list;
-}
-
-type counterexample = {
-  cx_seed : int;
-  cx_violation : violation;
-  cx_plan : Failure_plan.t;  (** shrunk to a local minimum *)
-  cx_original_faults : int;
-  cx_shrunk_faults : int;
-  cx_shrink_runs : int;  (** re-executions spent shrinking *)
-  cx_trace : Sim.World.trace_entry list;  (** trace of the minimal plan's run *)
-}
-
-type summary = {
-  protocol : string;
-  n_sites : int;
-  k : int;
-  seeds_run : int;
-  counterexamples : counterexample list;
-  violations_by_oracle : (oracle * int) list;
-  metrics : Sim.Metrics.t;
-      (** chaos_runs, shrink_runs, per-oracle violation counters and
-          wall_oracle_*_s timing histograms, schedule_faults histogram *)
 }
 
 let outcome_str = function Core.Types.Committed -> "commit" | Core.Types.Aborted -> "abort"
@@ -344,7 +319,11 @@ let config_or_default rulebook = function Some c -> c | None -> default_config r
 let run_plan ?metrics ?config rulebook ~plan ~seed () =
   let config = config_or_default rulebook config in
   let result = Runtime.run { config with Runtime.rulebook; plan; seed } in
-  (match metrics with Some m -> aggregate_run_metrics m result | None -> ());
+  (match metrics with
+  | Some m ->
+      Sim.Metrics.observe m "schedule_faults" (float_of_int (Failure_plan.fault_count plan));
+      aggregate_run_metrics m result
+  | None -> ());
   ( result,
     violations_of ?metrics ~presumption:config.Runtime.presumption
       ~read_only:config.Runtime.read_only result )
@@ -359,223 +338,38 @@ let plan_of_seed ?(profile = Sim.Nemesis.default_profile) rulebook ~k ~seed =
 
 let run_one ?metrics ?profile ?config rulebook ~k ~seed () =
   let plan = plan_of_seed ?profile rulebook ~k ~seed in
-  (match metrics with
-  | Some m ->
-      Sim.Metrics.incr m "chaos_runs";
-      Sim.Metrics.observe m "schedule_faults" (float_of_int (Failure_plan.fault_count plan))
-  | None -> ());
+  (match metrics with Some m -> Sim.Metrics.incr m "chaos_runs" | None -> ());
   let result, violations = run_plan ?metrics ?config rulebook ~plan ~seed () in
   { seed; plan; result; violations }
 
-(* ---------------- shrinking ---------------- *)
-
-let remove_nth n l = List.filteri (fun i _ -> i <> n) l
-
-let removal_candidates (p : Failure_plan.t) =
-  let open Failure_plan in
-  List.mapi (fun i _ -> { p with step_crashes = remove_nth i p.step_crashes }) p.step_crashes
-  @ List.mapi (fun i _ -> { p with timed_crashes = remove_nth i p.timed_crashes }) p.timed_crashes
-  @ List.mapi (fun i _ -> { p with recoveries = remove_nth i p.recoveries }) p.recoveries
-  @ List.mapi (fun i _ -> { p with move_crashes = remove_nth i p.move_crashes }) p.move_crashes
-  @ List.mapi (fun i _ -> { p with decide_crashes = remove_nth i p.decide_crashes }) p.decide_crashes
-  @ List.mapi (fun i _ -> { p with partitions = remove_nth i p.partitions }) p.partitions
-  @ List.mapi (fun i _ -> { p with msg_faults = remove_nth i p.msg_faults }) p.msg_faults
-  @ List.mapi (fun i _ -> { p with disk_faults = remove_nth i p.disk_faults }) p.disk_faults
-  @ List.mapi (fun i _ -> { p with delay_spikes = remove_nth i p.delay_spikes }) p.delay_spikes
-  @ List.mapi (fun i _ -> { p with stalls = remove_nth i p.stalls }) p.stalls
-  @ List.mapi (fun i _ -> { p with hb_losses = remove_nth i p.hb_losses }) p.hb_losses
-  @ List.mapi
-      (fun i _ -> { p with acceptor_crashes = remove_nth i p.acceptor_crashes })
-      p.acceptor_crashes
-  @ List.mapi (fun i _ -> { p with lease_faults = remove_nth i p.lease_faults }) p.lease_faults
-  @ List.mapi (fun i _ -> { p with storms = remove_nth i p.storms }) p.storms
-  (* a storm is one discrete fault but has an internal dimension: also
-     offer each storm with one fewer wave, so a wedge that needs only the
-     first crash/recover cycle shrinks past the whole-storm clause *)
-  @ List.concat
-      (List.mapi
-         (fun i (s : Failure_plan.storm_spec) ->
-           if s.s_waves > 1 then
-             [
-               {
-                 p with
-                 storms =
-                   List.mapi
-                     (fun j s' -> if j = i then { s with s_waves = s.s_waves - 1 } else s')
-                     p.storms;
-               };
-             ]
-           else [])
-         p.storms)
-
-(* Round every non-integral fault time, one at a time, so the minimal
-   counterexample reads "crash site=1 at=2" rather than "at=2.0386...". *)
-let rounding_candidates (p : Failure_plan.t) =
-  let open Failure_plan in
-  let set_nth n x l = List.mapi (fun i y -> if i = n then x else y) l in
-  let rounded f k l =
-    List.concat
-      (List.mapi
-         (fun i x ->
-           match f x with Some x' -> [ k (set_nth i x' l) ] | None -> [])
-         l)
-  in
-  let round_time (s, at) =
-    if Float.round at <> at then Some (s, Float.round at) else None
-  in
-  rounded round_time (fun l -> { p with timed_crashes = l }) p.timed_crashes
-  @ rounded round_time (fun l -> { p with recoveries = l }) p.recoveries
-  @ rounded
-      (fun (pt : partition_spec) ->
-        let from_t = Float.round pt.from_t and until_t = Float.round pt.until_t in
-        if from_t <> pt.from_t || until_t <> pt.until_t then Some { pt with from_t; until_t }
-        else None)
-      (fun l -> { p with partitions = l })
-      p.partitions
-  @ rounded
-      (fun (nth, f) ->
-        match f with
-        | Sim.World.Fault_delay extra when Float.round extra <> extra && Float.round extra > 0.0
-          ->
-            Some (nth, Sim.World.Fault_delay (Float.round extra))
-        | _ -> None)
-      (fun l -> { p with msg_faults = l })
-      p.msg_faults
-  @ rounded
-      (fun (d : delay_spec) ->
-        let d_from = Float.round d.d_from
-        and d_until = Float.round d.d_until
-        and d_extra = Float.max 1.0 (Float.round d.d_extra) in
-        if d_from <> d.d_from || d_until <> d.d_until || d_extra <> d.d_extra then
-          Some { d with d_from; d_until; d_extra }
-        else None)
-      (fun l -> { p with delay_spikes = l })
-      p.delay_spikes
-  @ rounded
-      (fun (w : window_spec) ->
-        let w_from = Float.round w.w_from and w_until = Float.round w.w_until in
-        if w_from <> w.w_from || w_until <> w.w_until then Some { w with w_from; w_until }
-        else None)
-      (fun l -> { p with stalls = l })
-      p.stalls
-  @ rounded
-      (fun (w : window_spec) ->
-        let w_from = Float.round w.w_from and w_until = Float.round w.w_until in
-        if w_from <> w.w_from || w_until <> w.w_until then Some { w with w_from; w_until }
-        else None)
-      (fun l -> { p with hb_losses = l })
-      p.hb_losses
-  @ rounded round_time (fun l -> { p with acceptor_crashes = l }) p.acceptor_crashes
-  @ rounded
-      (fun at -> if Float.round at <> at then Some (Float.round at) else None)
-      (fun l -> { p with lease_faults = l })
-      p.lease_faults
-  @ rounded
-      (fun (s : storm_spec) ->
-        (* only the start time: rounding period/down could break the
-           down < period invariant the storm model relies on *)
-        if Float.round s.s_first <> s.s_first then Some { s with s_first = Float.round s.s_first }
-        else None)
-      (fun l -> { p with storms = l })
-      p.storms
-
-let shrink ?metrics ?config rulebook ~seed ~oracle plan =
-  let runs = ref 0 in
-  let still_fails p =
-    incr runs;
-    (match metrics with Some m -> Sim.Metrics.incr m "shrink_runs" | None -> ());
-    let _, vs = run_plan ?config rulebook ~plan:p ~seed () in
-    List.exists (fun v -> v.oracle = oracle) vs
-  in
-  let rec reduce candidates_of p =
-    match List.find_opt still_fails (candidates_of p) with
-    | Some p' -> reduce candidates_of p'
-    | None -> p
-  in
-  let p = reduce removal_candidates plan in
-  let p = reduce rounding_candidates p in
-  (p, !runs)
-
-let counterexample_of ~metrics ~config rulebook (run : run_outcome) violation =
-  let cx_plan, cx_shrink_runs =
-    shrink ~metrics ~config rulebook ~seed:run.seed ~oracle:violation.oracle run.plan
-  in
-  (* replay the minimal plan with tracing to capture the evidence *)
-  let result, vs =
-    run_plan ~config:{ config with Runtime.tracing = true } rulebook ~plan:cx_plan ~seed:run.seed ()
-  in
-  let cx_violation =
-    match List.find_opt (fun v -> v.oracle = violation.oracle) vs with
-    | Some v -> v
-    | None -> violation (* unreachable: shrinking preserved the oracle *)
-  in
-  {
-    cx_seed = run.seed;
-    cx_violation;
-    cx_plan;
-    cx_original_faults = Failure_plan.fault_count run.plan;
-    cx_shrunk_faults = Failure_plan.fault_count cx_plan;
-    cx_shrink_runs;
-    cx_trace = result.Runtime.trace;
-  }
-
-(* ---------------- seed sweeps ---------------- *)
-
-let sweep ?profile ?config ?(seed_base = 0) ?(max_counterexamples = 5) ?(workers = 1) rulebook ~k
-    ~seeds () =
+let harness ?config ?profile ?(k = 1) rulebook =
   let config = config_or_default rulebook config in
-  (* Phase 1, embarrassingly parallel: each seed runs in full isolation —
-     its own World, Metrics registry and Rng stream, sharing only the
-     read-only compiled rulebook — so worker assignment is unobservable. *)
-  let runs, metrics =
-    Sim.Sweep.sweep ~workers ~seed_base ~seeds (fun ~metrics ~seed ->
-        let run = run_one ~metrics ?profile ~config rulebook ~k ~seed () in
-        List.iter
-          (fun v ->
-            Sim.Metrics.incr metrics (Printf.sprintf "violations_%s" (oracle_name v.oracle)))
-          run.violations;
-        run)
+  let run ?metrics ?(tracing = config.Runtime.tracing) ~seed plan =
+    let result, violations =
+      run_plan ?metrics ~config:{ config with Runtime.tracing } rulebook ~plan ~seed ()
+    in
+    (result, List.map (fun v -> (v.oracle, v.detail)) violations)
   in
-  (* Phase 2, sequential and seed-ordered: aggregate verdicts and shrink
-     the first [max_counterexamples] violations — identical selection and
-     results whatever the worker count. *)
-  let counterexamples = ref [] in
-  let by_oracle = Hashtbl.create 4 in
-  Array.iter
-    (fun run ->
-      List.iter
-        (fun v ->
-          Hashtbl.replace by_oracle v.oracle
-            (1 + Option.value ~default:0 (Hashtbl.find_opt by_oracle v.oracle));
-          if List.length !counterexamples < max_counterexamples then
-            counterexamples :=
-              counterexample_of ~metrics ~config rulebook run v :: !counterexamples)
-        run.violations)
-    runs;
+  let protocol = rulebook.Rulebook.protocol.Core.Protocol.name in
   {
-    protocol = rulebook.Rulebook.protocol.Core.Protocol.name;
+    Harness.name = protocol;
     n_sites = Core.Protocol.n_sites rulebook.Rulebook.protocol;
-    k;
-    seeds_run = seeds;
-    counterexamples = List.rev !counterexamples;
-    violations_by_oracle =
-      Hashtbl.fold (fun o c acc -> (o, c) :: acc) by_oracle [] |> List.sort compare;
-    metrics;
+    horizon = (Option.value profile ~default:Sim.Nemesis.default_profile).Sim.Nemesis.horizon;
+    families = Harness.protocol_families ~protocol;
+    plan_of_seed = (fun ~seed -> plan_of_seed ?profile rulebook ~k ~seed);
+    run;
+    fingerprint = fingerprint_of;
+    oracle_name;
+    pp_result = Runtime.pp_result;
+    trace = (fun r -> r.Runtime.trace);
   }
 
-let pp_counterexample ppf cx =
-  Fmt.pf ppf "@[<v>seed %d: %s violation — %s@,shrunk %d -> %d fault(s) in %d re-run(s)@,plan: %s@,trace:@,%a@]"
-    cx.cx_seed
-    (oracle_name cx.cx_violation.oracle)
-    cx.cx_violation.detail cx.cx_original_faults cx.cx_shrunk_faults cx.cx_shrink_runs
-    (match Failure_plan.to_string cx.cx_plan with "" -> "(no faults)" | s -> s)
-    (Fmt.list ~sep:Fmt.cut (fun ppf (e : Sim.World.trace_entry) ->
-         Fmt.pf ppf "  %8.2f  %s" e.at e.what))
-    cx.cx_trace
+type 'o summary = 'o Harness.summary = {
+  seeds_run : int;
+  failing : 'o Harness.failing list;
+  violations_by_oracle : ('o * int) list;
+  metrics : Sim.Metrics.t;
+}
 
-let pp_summary ppf s =
-  Fmt.pf ppf "@[<v>chaos %s n=%d k=%d: %d seed(s), %d violation(s)%a@]" s.protocol s.n_sites s.k
-    s.seeds_run
-    (List.fold_left (fun acc (_, c) -> acc + c) 0 s.violations_by_oracle)
-    (Fmt.list ~sep:Fmt.nop (fun ppf (o, c) -> Fmt.pf ppf "@,  %s: %d" (oracle_name o) c))
-    s.violations_by_oracle
+let sweep ?profile ?config ?seed_base ?max_counterexamples ?workers rulebook ~k ~seeds () =
+  Harness.sweep ?seed_base ?max_counterexamples ?workers (harness ?config ?profile ~k rulebook) ~seeds

@@ -9,9 +9,10 @@
     judged by their WAL), nonblocking progress under ≤ k concurrent
     failures (the [until] horizon is the stall budget), recovery
     convergence, and durability (what the world observed from a site must
-    be derivable from its durable log after crash + repair).  Violations
-    are greedily shrunk to a minimal plan that {!Failure_plan.to_string}
-    renders ready to paste into a regression test. *)
+    be derivable from its durable log after crash + repair).  {!harness}
+    packs this into a {!Harness.t}, whose sweep shrinks violations to a
+    minimal plan that {!Failure_plan.to_string} renders ready to paste
+    into a regression test. *)
 
 type oracle = Atomicity | Progress | Recovery_convergence | Durability | Split_brain
 
@@ -28,29 +29,6 @@ type run_outcome = {
   plan : Failure_plan.t;
   result : Runtime.result;
   violations : violation list;
-}
-
-type counterexample = {
-  cx_seed : int;
-  cx_violation : violation;
-  cx_plan : Failure_plan.t;  (** shrunk to a local minimum *)
-  cx_original_faults : int;
-  cx_shrunk_faults : int;
-  cx_shrink_runs : int;  (** re-executions spent shrinking *)
-  cx_trace : Sim.World.trace_entry list;  (** trace of the minimal plan's run *)
-}
-
-type summary = {
-  protocol : string;
-  n_sites : int;
-  k : int;
-  seeds_run : int;
-  counterexamples : counterexample list;
-  violations_by_oracle : (oracle * int) list;
-  metrics : Sim.Metrics.t;
-      (** chaos_runs / shrink_runs / violations_* counters, per-oracle
-          [wall_oracle_*_s] timing histograms (host wall clock,
-          nondeterministic), schedule_faults histogram *)
 }
 
 val violations_of :
@@ -85,7 +63,8 @@ val fingerprint_of : Runtime.result -> string list
     the [until] stall budget and tracing.  Per run the harness overwrites
     exactly three fields: [rulebook] (the positional rulebook wins over
     the config's), [plan] (generated from the seed, or the explicit plan)
-    and [seed].  Every other field is used as given. *)
+    and [seed]; the harness's [run ~tracing] also sets [tracing].  Every
+    other field is used as given. *)
 
 val default_config : Rulebook.t -> Runtime.config
 (** [Runtime.config ~until:1500.0 rb]: every {!Runtime.config} default,
@@ -107,7 +86,10 @@ val run_plan :
   Runtime.result * violation list
 (** Execute one explicit plan (e.g. a pasted counterexample) under
     [config] and judge it; the oracles read the config's presumption and
-    read-only sites.  Set [config.tracing] to keep the event trace. *)
+    read-only sites.  Set [config.tracing] to keep the event trace.
+    [metrics] receives the plan's fault count ([schedule_faults]), the
+    run's detector counters and suspicion latencies, and the oracles'
+    [wall_oracle_*_s] timings. *)
 
 val run_one :
   ?metrics:Sim.Metrics.t ->
@@ -118,21 +100,27 @@ val run_one :
   seed:int ->
   unit ->
   run_outcome
-(** Run {!plan_of_seed}'s plan under [config].  Deterministic. *)
+(** Run {!plan_of_seed}'s plan under [config], counting [chaos_runs]
+    into [metrics].  Deterministic. *)
 
-val shrink :
-  ?metrics:Sim.Metrics.t ->
+val harness :
   ?config:Runtime.config ->
+  ?profile:Sim.Nemesis.profile ->
+  ?k:int ->
   Rulebook.t ->
-  seed:int ->
-  oracle:oracle ->
-  Failure_plan.t ->
-  Failure_plan.t * int
-(** Greedy minimisation: repeatedly drop single faults, then round fault
-    times, keeping any candidate that still trips [oracle] under the same
-    seed and [config].  Returns the minimal plan and the number of re-runs
-    spent; [metrics] counts them as [shrink_runs] and nothing else of the
-    re-runs. *)
+  (Runtime.result, oracle) Harness.t
+(** The protocol-engine harness: [run] is {!run_plan} under [config]
+    (the rulebook, plan and seed are overwritten per run) and the five
+    oracles; [plan_of_seed] is {!plan_of_seed} with [profile] (default
+    {!Sim.Nemesis.default_profile}) and [k] (default 1); [fingerprint] is
+    {!fingerprint_of}. *)
+
+type 'o summary = 'o Harness.summary = {
+  seeds_run : int;
+  failing : 'o Harness.failing list;
+  violations_by_oracle : ('o * int) list;
+  metrics : Sim.Metrics.t;
+}
 
 val sweep :
   ?profile:Sim.Nemesis.profile ->
@@ -144,19 +132,5 @@ val sweep :
   k:int ->
   seeds:int ->
   unit ->
-  summary
-(** Run seeds [seed_base .. seed_base + seeds - 1] under [config]; shrink
-    (and replay with tracing on) at most [max_counterexamples] violations
-    (default 5).
-
-    [workers] (default 1) shards the seed range across OCaml domains via
-    {!Sim.Sweep}: each seed runs in a fully isolated World/Metrics/Rng
-    instance and per-seed registries merge in seed order, so the summary
-    — counterexamples included — and the deterministic projection of
-    [metrics] ({!Sim.Metrics.to_json} [~drop_wall:true]) are
-    byte-identical whatever the worker count.  Only the [wall_]-prefixed
-    oracle-timing histograms vary run to run.  Shrinking runs in a
-    sequential seed-ordered phase after the sharded runs. *)
-
-val pp_counterexample : Format.formatter -> counterexample -> unit
-val pp_summary : Format.formatter -> summary -> unit
+  oracle summary
+(** {!Harness.sweep} on {!harness}. *)

@@ -13,10 +13,9 @@
     are auto-shrunk with the harness's greedy shrinker and the corpus
     persists as replayable {!Failure_plan} text files.
 
-    The module is generic over a {!harness} record, so the engine
-    harness (built here, over {!Chaos}) and the database harness
-    ([Kv.Chaos_db.harness]) explore through the same loop and are
-    comparable in the same report.
+    The module is generic over a {!Harness.t} record, so the engine,
+    Paxos Commit and database harnesses explore through the same loop
+    and are comparable in the same report.
 
     Determinism: candidates are derived sequentially from the search's
     own {!Sim.Rng} stream, evaluated in parallel via {!Sim.Sweep.map}
@@ -25,55 +24,6 @@
     whatever [workers] is. *)
 
 module N = Sim.Nemesis
-
-(* ------------------------------------------------------------------ *)
-(* Clause families a mutation may add.  Partitions, message drops and
-   disk faults are deliberately absent: they violate the paper's model,
-   so a violation found through them would be an ablation finding, not
-   a protocol bug.  Mutations never introduce a family outside the
-   harness's list, which is what keeps [Failure_plan.unsupported_clauses]
-   empty across a whole search (property-tested). *)
-
-type family =
-  | Step_crashes
-  | Timed_crashes
-  | Recoveries
-  | Move_crashes
-  | Decide_crashes
-  | Msg_faults
-  | Delay_spikes
-  | Stalls
-  | Hb_losses
-  | Acceptor_crashes
-  | Lease_faults
-  | Storms
-[@@deriving show { with_path = false }, eq]
-
-let protocol_families ~protocol =
-  let is_3pc = protocol = "central-3pc" || protocol = "decentralized-3pc" in
-  let is_paxos = String.length protocol >= 5 && String.sub protocol 0 5 = "paxos" in
-  [ Step_crashes; Timed_crashes; Recoveries; Msg_faults; Delay_spikes; Stalls; Hb_losses; Storms ]
-  @ (if is_3pc then [ Move_crashes; Decide_crashes ] else [])
-  @ if is_paxos then [ Decide_crashes; Acceptor_crashes; Lease_faults ] else []
-
-(* ------------------------------------------------------------------ *)
-
-type report = {
-  fingerprint : string list;
-  violations : (string * string) list;  (** (oracle name, detail) *)
-}
-
-type harness = {
-  name : string;
-  n_sites : int;
-  horizon : float;  (** time scale mutations draw crash/window times from *)
-  families : family list;  (** clause families mutations may add *)
-  run : seed:int -> Failure_plan.t -> report;
-  shrink : seed:int -> oracle:string -> Failure_plan.t -> Failure_plan.t * int;
-  random_plan : seed:int -> Failure_plan.t;
-      (** the equal-budget baseline: what one classic chaos-sweep seed
-          would have executed *)
-}
 
 (* ------------------------------------------------------------------ *)
 (* Mutation operators.  They work on the plan's schedule view
@@ -89,7 +39,7 @@ let random_fault rng ~n_sites ~horizon family =
     let from_t = time () in
     (from_t, from_t +. (0.1 *. horizon) +. Sim.Rng.float rng (0.4 *. horizon))
   in
-  match family with
+  match (family : Harness.family) with
   | Step_crashes ->
       let sent = if Sim.Rng.bool rng then None else Some (Sim.Rng.int rng 3) in
       N.Step_crash { site = site (); step = Sim.Rng.int rng 4; sent }
@@ -263,7 +213,7 @@ let pick_parent rng corpus =
       fst (Sim.Rng.choice rng pool)
 
 let search ?(workers = 1) ?(batch = 16) ?(max_shrunk = 4) ?(seed = 0) ?(initial = [])
-    ?progress harness ~mode ~budget () =
+    ?progress (harness : (_, _) Harness.t) ~mode ~budget () =
   let rng = Sim.Rng.create ~seed in
   let cov = Sim.Coverage.create () in
   let corpus = ref [] (* newest first *) in
@@ -286,9 +236,9 @@ let search ?(workers = 1) ?(batch = 16) ?(max_shrunk = 4) ?(seed = 0) ?(initial 
     let candidates =
       Array.init n (fun i ->
           match mode with
-          | `Random -> harness.random_plan ~seed:(!runs + i)
+          | `Random -> harness.plan_of_seed ~seed:(!runs + i)
           | `Guided ->
-              if !corpus = [] then harness.random_plan ~seed:(!runs + i)
+              if !corpus = [] then harness.plan_of_seed ~seed:(!runs + i)
               else begin
                 let parent = pick_parent rng !corpus in
                 if Sim.Rng.flip rng ~p:0.3 && List.length !corpus > 1 then
@@ -301,25 +251,27 @@ let search ?(workers = 1) ?(batch = 16) ?(max_shrunk = 4) ?(seed = 0) ?(initial 
     let base = !runs in
     let reports =
       Sim.Sweep.map ~workers ~seed_base:base ~seeds:n (fun ~seed ->
-          harness.run ~seed candidates.(seed - base))
+          let result, violations = harness.run ~seed candidates.(seed - base) in
+          (harness.fingerprint result, violations))
     in
     (* sequential fold: admission order and shrink selection are
        identical whatever the worker count *)
     Array.iteri
-      (fun i report ->
+      (fun i (fingerprint, violations) ->
         let plan = candidates.(i) in
-        let novelty = Sim.Coverage.add cov report.fingerprint in
+        let novelty = Sim.Coverage.add cov fingerprint in
         if novelty > 0 then corpus := (plan, novelty) :: !corpus;
-        if report.violations <> [] then begin
+        if violations <> [] then begin
           incr violating_runs;
-          let oracle, detail = List.hd report.violations in
+          let oracle, detail = List.hd violations in
+          let name = harness.oracle_name oracle in
           if
-            (not (Hashtbl.mem seen_violations (oracle, detail)))
+            (not (Hashtbl.mem seen_violations (name, detail)))
             && List.length !bugs < max_shrunk
           then begin
-            Hashtbl.replace seen_violations (oracle, detail) ();
-            let shrunk, shrink_runs = harness.shrink ~seed:(base + i) ~oracle plan in
-            let key = (oracle, Failure_plan.to_string shrunk) in
+            Hashtbl.replace seen_violations (name, detail) ();
+            let shrunk, shrink_runs = Harness.shrink harness ~seed:(base + i) ~oracle plan in
+            let key = (name, Failure_plan.to_string shrunk) in
             if
               not
                 (List.exists
@@ -328,7 +280,7 @@ let search ?(workers = 1) ?(batch = 16) ?(max_shrunk = 4) ?(seed = 0) ?(initial 
             then
               bugs :=
                 {
-                  bug_oracle = oracle;
+                  bug_oracle = name;
                   bug_detail = detail;
                   bug_found_at = base + i;
                   bug_plan = plan;
@@ -358,12 +310,12 @@ let search ?(workers = 1) ?(batch = 16) ?(max_shrunk = 4) ?(seed = 0) ?(initial 
     bugs = List.rev !bugs;
   }
 
-let replay ?(workers = 1) harness plans =
+let replay ?(workers = 1) (harness : (_, _) Harness.t) plans =
   let arr = Array.of_list plans in
-  let reports =
-    Sim.Sweep.map ~workers ~seeds:(Array.length arr) (fun ~seed -> harness.run ~seed arr.(seed))
+  let verdicts =
+    Sim.Sweep.map ~workers ~seeds:(Array.length arr) (fun ~seed -> snd (harness.run ~seed arr.(seed)))
   in
-  List.mapi (fun i plan -> (plan, reports.(i))) plans
+  List.mapi (fun i plan -> (plan, verdicts.(i))) plans
 
 (* ------------------------------------------------------------------ *)
 (* Corpus persistence: one [Failure_plan.to_string] per file, so every
@@ -407,39 +359,3 @@ let load_corpus ~dir =
            let s = really_input_string ic (in_channel_length ic) in
            close_in ic;
            (f, Failure_plan.of_string_exn s))
-
-(* ------------------------------------------------------------------ *)
-(* The engine harness: [random_plan] is {!Chaos.plan_of_seed}, the plan
-   {!Chaos.run_one} draws, so `--mode random` is exactly the classic
-   chaos sweep per seed. *)
-
-let oracle_of_name name =
-  List.find_opt
-    (fun o -> Chaos.oracle_name o = name)
-    [ Chaos.Atomicity; Chaos.Progress; Chaos.Recovery_convergence; Chaos.Durability; Chaos.Split_brain ]
-
-let engine_harness ?config ?profile ?(k = 1) rulebook =
-  let n_sites = Core.Protocol.n_sites rulebook.Rulebook.protocol in
-  let run ~seed plan =
-    let result, violations = Chaos.run_plan ?config rulebook ~plan ~seed () in
-    {
-      fingerprint = Chaos.fingerprint_of result;
-      violations =
-        List.map (fun (v : Chaos.violation) -> (Chaos.oracle_name v.oracle, v.detail)) violations;
-    }
-  in
-  let shrink ~seed ~oracle plan =
-    match oracle_of_name oracle with
-    | None -> (plan, 0)
-    | Some oracle -> Chaos.shrink ?config rulebook ~seed ~oracle plan
-  in
-  let protocol = rulebook.Rulebook.protocol.Core.Protocol.name in
-  {
-    name = protocol;
-    n_sites;
-    horizon = (Option.value profile ~default:Sim.Nemesis.default_profile).Sim.Nemesis.horizon;
-    families = protocol_families ~protocol;
-    run;
-    shrink;
-    random_plan = (fun ~seed -> Chaos.plan_of_seed ?profile rulebook ~k ~seed);
-  }

@@ -5,57 +5,17 @@
     contribute unseen features join a corpus; candidates are mutants of
     corpus entries (add / remove / retime / retarget a fault clause,
     widen a window, splice two plans).  Violations shrink through the
-    harness's greedy shrinker; the corpus persists as replayable plan
-    text files.  The whole search is a pure function of
+    shared greedy shrinker ({!Harness.shrink}); the corpus persists as
+    replayable plan text files.  The whole search is a pure function of
     [(harness, mode, budget, seed)], whatever [workers] is. *)
 
-type family =
-  | Step_crashes
-  | Timed_crashes
-  | Recoveries
-  | Move_crashes
-  | Decide_crashes
-  | Msg_faults
-  | Delay_spikes
-  | Stalls
-  | Hb_losses
-  | Acceptor_crashes
-  | Lease_faults
-  | Storms
-      (** Clause families a mutation may {e add}.  Partitions, drops and
-          disk faults are deliberately not here: they violate the
-          paper's model, so they stay ablation-only. *)
-
-val pp_family : Format.formatter -> family -> unit
-val equal_family : family -> family -> bool
-
-val protocol_families : protocol:string -> family list
-(** The families a protocol can execute — the complement of
-    {!Failure_plan.unsupported_clauses}: 3PC adds move/decide crashes,
-    Paxos Commit adds decide crashes, acceptor crashes and lease
-    faults. *)
-
-type report = {
-  fingerprint : string list;  (** {!Sim.Coverage} features of the run *)
-  violations : (string * string) list;  (** (oracle name, detail) *)
-}
-
-type harness = {
-  name : string;
-  n_sites : int;
-  horizon : float;  (** time scale mutations draw crash/window times from *)
-  families : family list;  (** clause families mutations may add *)
-  run : seed:int -> Failure_plan.t -> report;
-  shrink : seed:int -> oracle:string -> Failure_plan.t -> Failure_plan.t * int;
-  random_plan : seed:int -> Failure_plan.t;
-      (** the equal-budget baseline: what one classic chaos-sweep seed
-          would have executed *)
-}
-(** What the search needs from a target system.  The engine harness is
-    {!engine_harness}; the database harness is [Kv.Chaos_db.harness]. *)
-
 val mutate :
-  Sim.Rng.t -> n_sites:int -> horizon:float -> families:family list -> Failure_plan.t -> Failure_plan.t
+  Sim.Rng.t ->
+  n_sites:int ->
+  horizon:float ->
+  families:Harness.family list ->
+  Failure_plan.t ->
+  Failure_plan.t
 (** One mutation step: add a random clause from [families], or remove /
     retime / retarget / widen an existing one (via the plan's
     {!Failure_plan.to_schedule} view).  Never introduces a clause family
@@ -65,7 +25,7 @@ val splice : Sim.Rng.t -> Failure_plan.t -> Failure_plan.t -> Failure_plan.t
 (** Crossover: an independent coin per parent fault. *)
 
 type bug = {
-  bug_oracle : string;
+  bug_oracle : string;  (** the harness's [oracle_name] *)
   bug_detail : string;
   bug_found_at : int;  (** global run index that first tripped it *)
   bug_plan : Failure_plan.t;  (** as found *)
@@ -96,25 +56,29 @@ val search :
   ?seed:int ->
   ?initial:Failure_plan.t list ->
   ?progress:(runs:int -> coverage:int -> bugs:int -> unit) ->
-  harness ->
+  ('r, 'o) Harness.t ->
   mode:[ `Guided | `Random ] ->
   budget:int ->
   unit ->
   result
 (** Run [budget] plans.  [`Guided] mutates the novelty-ranked corpus
-    (bootstrapping from [initial] plans, or random plans while the
-    corpus is empty); [`Random] runs [harness.random_plan] on seeds
+    (bootstrapping from [initial] plans, or the harness's seed plans
+    while the corpus is empty); [`Random] runs [plan_of_seed] on seeds
     [0 .. budget-1] — the classic sweep as an equal-budget baseline.
     Candidates are derived sequentially from the search rng, evaluated
-    across domains via {!Sim.Sweep.map} in batches of [batch] (default
-    16), and folded in order: the result is byte-identical whatever
-    [workers] (default 1) is.  At most [max_shrunk] (default 4) distinct
-    violations are shrunk; [progress] fires after each batch. *)
+    (run and fingerprinted) across domains via {!Sim.Sweep.map} in
+    batches of [batch] (default 16), and folded in order: the result is
+    byte-identical whatever [workers] (default 1) is.  At most
+    [max_shrunk] (default 4) distinct violations are shrunk with
+    {!Harness.shrink}; [progress] fires after each batch. *)
 
 val replay :
-  ?workers:int -> harness -> Failure_plan.t list -> (Failure_plan.t * report) list
-(** Run each plan once (seed = list index) and report — corpus
-    regression replay. *)
+  ?workers:int ->
+  ('r, 'o) Harness.t ->
+  Failure_plan.t list ->
+  (Failure_plan.t * ('o * string) list) list
+(** Run each plan once (seed = list index) and return its violations —
+    corpus regression replay. *)
 
 val save_corpus : dir:string -> result -> unit
 (** Write the corpus as [NNN.plan] files (admission order) plus
@@ -125,14 +89,3 @@ val load_corpus : dir:string -> (string * Failure_plan.t) list
 (** [(filename, plan)] for every [*.plan] file, sorted by name; [[]] if
     [dir] does not exist.
     @raise Failure_plan.Parse_error on a malformed entry. *)
-
-val engine_harness :
-  ?config:Runtime.config -> ?profile:Sim.Nemesis.profile -> ?k:int -> Rulebook.t -> harness
-(** The protocol-engine harness over {!Chaos}: [run] executes a plan
-    under [config] (default {!Chaos.default_config}; the rulebook, plan
-    and seed are overwritten per run) and the five oracles, and
-    fingerprints it ({!Chaos.fingerprint_of}); [shrink] is
-    {!Chaos.shrink} under the same config; [random_plan] is
-    {!Chaos.plan_of_seed} with [profile] (default
-    {!Sim.Nemesis.default_profile}) and [k] (default 1), so the [`Random]
-    baseline is exactly the classic chaos sweep. *)

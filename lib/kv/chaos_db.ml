@@ -9,10 +9,10 @@
 
     Every run is a pure function of [(protocol, n_sites, k, seed)]: the
     seed derives both the workload and the schedule through split
-    {!Sim.Rng} streams.  A violating schedule is greedily shrunk — drop
-    one fault at a time, then round fault times — to a minimal
-    counterexample that {!Sim.Nemesis.to_string} renders ready to pin in
-    a regression test. *)
+    {!Sim.Rng} streams.  {!harness} packs a run into the
+    {!Engine.Harness.t} record whose sweep shrinks a violating plan to a
+    minimal counterexample, printed as {!Engine.Failure_plan.to_string}
+    ready for [skeen chaos --kv --plan] or a regression test. *)
 
 type oracle = Atomicity | Conservation | Progress | Durability | Split_brain
 [@@deriving show { with_path = false }, eq]
@@ -42,6 +42,17 @@ let default_profile =
     max_msg_faults = 4;
     send_window = 150;
     delay_max = 10.0;
+  }
+
+(* Aim faults at the replicated-coordinator state: the database puts the
+   2f+1 acceptors on the lowest-numbered sites. *)
+let paxos_profile ~f =
+  {
+    default_profile with
+    Sim.Nemesis.p_acceptor_crash = 0.5;
+    acceptor_sites = List.init ((2 * f) + 1) (fun i -> i + 1);
+    max_acceptor_crashes = f;
+    p_lease_fault = 0.3;
   }
 
 let accounts = 8
@@ -334,195 +345,18 @@ let run_one ?profile ?(config = default_config) ?(protocol = config.Db.protocol)
   let result, violations = run_schedule ~config ~protocol ~n_sites ~seed schedule in
   { seed; schedule; result; violations }
 
-(* ---- counterexample shrinking, at schedule granularity ---- *)
-
-let remove_nth i l = List.filteri (fun j _ -> j <> i) l
-
-let round_candidates (schedule : Sim.Nemesis.schedule) =
-  let non_integral x = Float.round x <> x in
-  List.concat
-    (List.mapi
-       (fun i fault ->
-         let replace f' = List.mapi (fun j f -> if j = i then f' else f) schedule in
-         match fault with
-         | Sim.Nemesis.Crash { site; at } when non_integral at ->
-             [ replace (Sim.Nemesis.Crash { site; at = Float.round at }) ]
-         | Sim.Nemesis.Recover { site; at } when non_integral at ->
-             [ replace (Sim.Nemesis.Recover { site; at = Float.round at }) ]
-         | Sim.Nemesis.Partition { from_t; until_t; groups }
-           when non_integral from_t || non_integral until_t ->
-             [
-               replace
-                 (Sim.Nemesis.Partition
-                    { from_t = Float.round from_t; until_t = Float.round until_t; groups });
-             ]
-         | Sim.Nemesis.Msg { nth; fault = Sim.World.Fault_delay d } when non_integral d ->
-             [
-               replace
-                 (Sim.Nemesis.Msg
-                    { nth; fault = Sim.World.Fault_delay (Float.max 1.0 (Float.round d)) });
-             ]
-         | Sim.Nemesis.Delay_window { site; from_t; until_t; extra }
-           when non_integral from_t || non_integral until_t || non_integral extra ->
-             [
-               replace
-                 (Sim.Nemesis.Delay_window
-                    {
-                      site;
-                      from_t = Float.round from_t;
-                      until_t = Float.round until_t;
-                      extra = Float.max 1.0 (Float.round extra);
-                    });
-             ]
-         | Sim.Nemesis.Stall { site; from_t; until_t }
-           when non_integral from_t || non_integral until_t ->
-             [
-               replace
-                 (Sim.Nemesis.Stall
-                    { site; from_t = Float.round from_t; until_t = Float.round until_t });
-             ]
-         | Sim.Nemesis.Hb_loss { site; from_t; until_t }
-           when non_integral from_t || non_integral until_t ->
-             [
-               replace
-                 (Sim.Nemesis.Hb_loss
-                    { site; from_t = Float.round from_t; until_t = Float.round until_t });
-             ]
-         | Sim.Nemesis.Acceptor_crash { site; at } when non_integral at ->
-             [ replace (Sim.Nemesis.Acceptor_crash { site; at = Float.round at }) ]
-         | Sim.Nemesis.Lease_fault { at } when non_integral at ->
-             [ replace (Sim.Nemesis.Lease_fault { at = Float.round at }) ]
-         | Sim.Nemesis.Storm { site; first; waves; period; down } ->
-             (* a storm is one discrete fault, so give the shrinker a way
-                inside it: fewer waves first, then a rounded start time
-                (period/down stay put — rounding could break down < period) *)
-             (if waves > 1 then
-                [ replace (Sim.Nemesis.Storm { site; first; waves = waves - 1; period; down }) ]
-              else [])
-             @
-             if non_integral first then
-               [ replace (Sim.Nemesis.Storm { site; first = Float.round first; waves; period; down }) ]
-             else []
-         | _ -> [])
-       schedule)
-
-let shrink ?(config = default_config) ~seed ~oracle (schedule : Sim.Nemesis.schedule) =
-  let runs = ref 0 in
-  let still_fails candidate =
-    incr runs;
-    let _, vs = run_schedule ~config ~seed candidate in
-    List.exists (fun v -> v.oracle = oracle) vs
-  in
-  let rec reduce current =
-    let removals = List.mapi (fun i _ -> remove_nth i current) current in
-    match List.find_opt still_fails removals with
-    | Some smaller -> reduce smaller
-    | None -> (
-        match List.find_opt still_fails (round_candidates current) with
-        | Some rounded -> reduce rounded
-        | None -> current)
-  in
-  let minimal = reduce schedule in
-  (minimal, !runs)
-
-type summary = {
-  protocol : Node.protocol;
-  n_sites : int;
-  k : int;
-  seeds_run : int;
-  failing : (int * violation list * Sim.Nemesis.schedule) list;
-      (** (seed, violations, shrunk schedule) for each failing seed, at
-          most [max_counterexamples] of them shrunk *)
-  violations_by_oracle : (oracle * int) list;
-  metrics : Sim.Metrics.t;
-      (** per-seed registries (chaos_runs / violations_* / shrink_runs
-          counters plus every {!Db.result}.run_metrics — commit
-          latencies, lock waits, message counts) merged in seed order *)
-}
-
-let sweep ?profile ?(config = default_config) ?(protocol = config.Db.protocol)
-    ?(n_sites = config.Db.n_sites) ?(seed_base = 0) ?(max_counterexamples = 3) ?(workers = 1) ~k
-    ~seeds () =
-  let config = { config with Db.protocol; n_sites } in
-  (* Phase 1, Domain-sharded: one isolated Db run (own World, Metrics,
-     Rng) per seed — see {!Sim.Sweep} for the isolation contract. *)
-  let outcomes, metrics =
-    Sim.Sweep.sweep ~workers ~seed_base ~seeds (fun ~metrics ~seed ->
-        let o = run_one ?profile ~config ~k ~seed () in
-        Sim.Metrics.incr metrics "chaos_runs";
-        List.iter
-          (fun v -> Sim.Metrics.incr metrics ("violations_" ^ oracle_name v.oracle))
-          o.violations;
-        Sim.Metrics.merge metrics o.result.Db.run_metrics;
-        o)
-  in
-  (* Phase 2, sequential in seed order: aggregate and shrink the first
-     [max_counterexamples] failing seeds — worker-count independent. *)
-  let by_oracle = Hashtbl.create 4 in
-  let failing = ref [] in
-  Array.iter
-    (fun (o : run_outcome) ->
-      if o.violations <> [] then begin
-        List.iter
-          (fun v ->
-            Hashtbl.replace by_oracle v.oracle
-              (1 + Option.value ~default:0 (Hashtbl.find_opt by_oracle v.oracle)))
-          o.violations;
-        let shrunk =
-          if List.length !failing < max_counterexamples then begin
-            let v = List.hd o.violations in
-            let minimal, runs = shrink ~config ~seed:o.seed ~oracle:v.oracle o.schedule in
-            Sim.Metrics.incr ~by:runs metrics "shrink_runs";
-            minimal
-          end
-          else o.schedule
-        in
-        failing := (o.seed, o.violations, shrunk) :: !failing
-      end)
-    outcomes;
-  {
-    protocol;
-    n_sites;
-    k;
-    seeds_run = seeds;
-    failing = List.rev !failing;
-    violations_by_oracle = Hashtbl.fold (fun o n acc -> (o, n) :: acc) by_oracle [];
-    metrics;
-  }
-
-let pp_summary ppf (s : summary) =
-  Fmt.pf ppf "kv chaos %s n=%d k=%d: %d seed(s), %d failing%a"
-    (Node.show_protocol s.protocol) s.n_sites s.k s.seeds_run (List.length s.failing)
-    Fmt.(
-      list ~sep:nop (fun ppf (o, n) -> Fmt.pf ppf ", %d %s" n (oracle_name o)))
-    s.violations_by_oracle
-
-(* ---- the database harness for the coverage-guided explorer ---- *)
-
-(* Plans cross into the database through {!Engine.Failure_plan.to_schedule}
-   and shrunk schedules come back through [of_schedule]. *)
+(* Plans cross into the database through {!Engine.Failure_plan.to_schedule}. *)
 let harness ?(config = default_config) ?profile ?(k = 1) () =
-  let open Engine.Explore in
   let n_sites = config.Db.n_sites in
-  let run ~seed plan =
-    let result, violations = run_schedule ~config ~seed (Engine.Failure_plan.to_schedule plan) in
-    {
-      fingerprint = fingerprint_of result;
-      violations = List.map (fun v -> (oracle_name v.oracle, v.detail)) violations;
-    }
-  in
-  let shrink ~seed ~oracle plan =
-    match
-      List.find_opt
-        (fun o -> oracle_name o = oracle)
-        [ Atomicity; Conservation; Progress; Durability; Split_brain ]
-    with
-    | None -> (plan, 0)
-    | Some oracle ->
-        let minimal, runs = shrink ~config ~seed ~oracle (Engine.Failure_plan.to_schedule plan) in
-        (Engine.Failure_plan.of_schedule minimal, runs)
+  let run ?metrics ?(tracing = config.Db.tracing) ~seed plan =
+    let result, violations =
+      run_schedule ~config:{ config with Db.tracing } ~seed (Engine.Failure_plan.to_schedule plan)
+    in
+    Option.iter (fun m -> Sim.Metrics.merge m result.Db.run_metrics) metrics;
+    (result, List.map (fun v -> (v.oracle, v.detail)) violations)
   in
   let name, families =
+    let open Engine.Harness in
     let base = [ Timed_crashes; Recoveries; Msg_faults; Delay_spikes; Stalls; Hb_losses; Storms ] in
     match config.Db.protocol with
     | Node.Two_phase -> ("kv-2pc", base)
@@ -530,13 +364,29 @@ let harness ?(config = default_config) ?profile ?(k = 1) () =
     | Node.Paxos f -> (Printf.sprintf "kv-paxos-f%d" f, base @ [ Acceptor_crashes; Lease_faults ])
   in
   {
-    name;
+    Engine.Harness.name;
     n_sites;
     horizon = (Option.value profile ~default:default_profile).Sim.Nemesis.horizon;
     families;
-    run;
-    shrink;
-    random_plan =
+    plan_of_seed =
       (fun ~seed ->
         Engine.Failure_plan.of_schedule (schedule_of_seed ?profile ~n_sites ~k ~seed ()));
+    run;
+    fingerprint = fingerprint_of;
+    oracle_name;
+    pp_result = Db.pp_result;
+    trace = (fun r -> r.Db.trace);
   }
+
+type 'o summary = 'o Engine.Harness.summary = {
+  seeds_run : int;
+  failing : 'o Engine.Harness.failing list;
+  violations_by_oracle : ('o * int) list;
+  metrics : Sim.Metrics.t;
+}
+
+let sweep ?profile ?(config = default_config) ?(protocol = config.Db.protocol)
+    ?(n_sites = config.Db.n_sites) ?seed_base ?max_counterexamples ?workers ~k ~seeds () =
+  Engine.Harness.sweep ?seed_base ?max_counterexamples ?workers
+    (harness ~config:{ config with Db.protocol; n_sites } ?profile ~k ())
+    ~seeds

@@ -6,8 +6,9 @@
     holding locks in doubt unless its transaction's whole participant set
     crashed), and durability (every yes vote and announced outcome must
     be justified by the announcing site's repaired stable log).
-    Violating schedules shrink greedily to a minimal counterexample.
-    Deterministic in [(protocol, n_sites, k, seed)]. *)
+    {!harness} packs a run into an {!Engine.Harness.t}, whose sweep
+    shrinks violating plans to a minimal counterexample.  Deterministic
+    in [(protocol, n_sites, k, seed)]. *)
 
 type oracle = Atomicity | Conservation | Progress | Durability | Split_brain
 
@@ -23,6 +24,11 @@ val default_profile : Sim.Nemesis.profile
 (** Timed crashes, recoveries and message faults only: step- and
     backup-pinned crashes are protocol-engine notions the database cannot
     interpret. *)
+
+val paxos_profile : f:int -> Sim.Nemesis.profile
+(** {!default_profile} aimed at Paxos Commit's replicated coordinator
+    state: acceptor crashes (at most [f]) on the [2f+1] lowest-numbered
+    sites, where the database puts its acceptors, and lease faults. *)
 
 val workload_of : seed:int -> (float * Txn.t) list
 (** The seed's bank-transfer workload (a split stream of the seed's root
@@ -62,6 +68,7 @@ val fingerprint_of : Db.result -> string list
     [recoveries], [partitions], [msg_faults], [disk_faults],
     [detector_faults], [lease_faults], from {!lower} of the schedule)
     and [initial_data] (the bank).  Every other field is used as given.
+    The harness's [run ~tracing] also sets [tracing].
     {!run_schedule}, {!run_one} and {!sweep} also take [?protocol] and
     [?n_sites]; they default to the config's fields and, when given,
     replace them. *)
@@ -102,31 +109,24 @@ val run_one :
     schedule stream ({!Sim.Nemesis.generate} with [profile], default
     {!default_profile}) second.  Deterministic. *)
 
-val shrink :
+val harness :
   ?config:Db.config ->
-  seed:int ->
-  oracle:oracle ->
-  Sim.Nemesis.schedule ->
-  Sim.Nemesis.schedule * int
-(** Greedy minimisation: drop single faults, then round fault times,
-    keeping any candidate that still trips [oracle] under the same seed
-    and [config].  Returns the minimal schedule and the number of re-runs
-    spent. *)
+  ?profile:Sim.Nemesis.profile ->
+  ?k:int ->
+  unit ->
+  (Db.result, oracle) Engine.Harness.t
+(** The database harness: [run] lowers a plan through
+    {!Engine.Failure_plan.to_schedule} and runs it with {!run_schedule}
+    under [config], merging the run's registry into [metrics];
+    [plan_of_seed] is the schedule {!run_one} draws for the seed (with
+    [profile], default {!default_profile}, and [k], default 1), as a
+    plan.  The protocol and site count are the config's. *)
 
-type summary = {
-  protocol : Node.protocol;
-  n_sites : int;
-  k : int;
+type 'o summary = 'o Engine.Harness.summary = {
   seeds_run : int;
-  failing : (int * violation list * Sim.Nemesis.schedule) list;
-      (** (seed, violations, shrunk schedule) per failing seed; at most
-          [max_counterexamples] of them are shrunk, the rest keep their
-          full schedule *)
-  violations_by_oracle : (oracle * int) list;
+  failing : 'o Engine.Harness.failing list;
+  violations_by_oracle : ('o * int) list;
   metrics : Sim.Metrics.t;
-      (** per-seed registries (chaos_runs / violations_* / shrink_runs
-          counters plus every {!Db.result}.run_metrics) merged in seed
-          order — worker-count independent *)
 }
 
 val sweep :
@@ -140,23 +140,6 @@ val sweep :
   k:int ->
   seeds:int ->
   unit ->
-  summary
-(** Run seeds [seed_base .. seed_base + seeds - 1] under [config] and
-    shrink the first [max_counterexamples] (default 3) failing ones.
-    [workers] (default 1) shards the seed range across OCaml domains via
-    {!Sim.Sweep}; every seed runs in an isolated World/Metrics/Rng and
-    the summary (shrunk counterexamples included) is byte-identical
-    whatever the worker count.  Shrinking runs sequentially after the
-    sharded phase. *)
-
-val harness :
-  ?config:Db.config -> ?profile:Sim.Nemesis.profile -> ?k:int -> unit -> Engine.Explore.harness
-(** The database harness for {!Engine.Explore}: [run] lowers a plan
-    through {!Engine.Failure_plan.to_schedule} and runs it with
-    {!run_schedule} under [config]; [shrink] is {!shrink} under the same
-    config; [random_plan] is the schedule {!run_one} draws for the seed
-    (with [profile] and [k], default 1), so the [`Random] baseline is
-    exactly the classic kv chaos sweep.  The protocol and site count
-    are the config's. *)
-
-val pp_summary : Format.formatter -> summary -> unit
+  oracle summary
+(** {!Engine.Harness.sweep} on {!harness}, the config's protocol and
+    site count replaced by [protocol] and [n_sites] when given. *)

@@ -64,9 +64,12 @@ let test_2pc_pinned_blocking_seed () =
   Alcotest.(check bool) "progress violation found" true (has C.Progress o.C.violations);
   Alcotest.(check bool) "atomicity still holds" false (has C.Atomicity o.C.violations)
 
+let shrink_c2 ~seed =
+  let o = C.run_one (Lazy.force rb_c2) ~k:1 ~seed () in
+  fst (Engine.Harness.shrink (C.harness (Lazy.force rb_c2)) ~seed ~oracle:C.Progress o.C.plan)
+
 let test_2pc_counterexample_shrinks_to_one_fault () =
-  let o = C.run_one (Lazy.force rb_c2) ~k:1 ~seed:35 () in
-  let minimal, _runs = C.shrink (Lazy.force rb_c2) ~seed:35 ~oracle:C.Progress o.C.plan in
+  let minimal = shrink_c2 ~seed:35 in
   Alcotest.(check int) "one fault suffices" 1 (FP.fault_count minimal);
   (* the textbook schedule: the coordinator dies at its commit point *)
   Alcotest.(check string) "the textbook counterexample" "step-crash site=1 step=1 mode=before"
@@ -74,12 +77,21 @@ let test_2pc_counterexample_shrinks_to_one_fault () =
 
 let test_shrunk_plan_replays_through_text () =
   (* a counterexample pasted into a report must reproduce: round-trip the
-     minimal plan through its printed form and re-judge it *)
-  let o = C.run_one (Lazy.force rb_c2) ~k:1 ~seed:35 () in
-  let minimal, _ = C.shrink (Lazy.force rb_c2) ~seed:35 ~oracle:C.Progress o.C.plan in
-  let reloaded = FP.of_string_exn (FP.to_string minimal) in
+     minimal plan through its printed form and re-judge it — the engine's
+     seed-35 plan, and the database's seed-15 2PC wedge *)
+  let reloaded = FP.of_string_exn (FP.to_string (shrink_c2 ~seed:35)) in
   let _, violations = C.run_plan (Lazy.force rb_c2) ~plan:reloaded ~seed:35 () in
-  Alcotest.(check bool) "reloaded plan still trips the oracle" true (has C.Progress violations)
+  Alcotest.(check bool) "reloaded plan still trips the oracle" true (has C.Progress violations);
+  let kv =
+    Kv.Chaos_db.harness
+      ~config:{ Kv.Chaos_db.default_config with Kv.Db.protocol = Kv.Node.Two_phase }
+      ()
+  in
+  let wedge = FP.of_string_exn "crash site=4 at=24" in
+  let _, violations = kv.run ~seed:15 (FP.of_string_exn (FP.to_string wedge)) in
+  Alcotest.(check (list string))
+    "kv 2PC wedge trips progress through text" [ "progress" ]
+    (List.map (fun (o, _) -> Kv.Chaos_db.oracle_name o) violations)
 
 let test_2pc_sweep_reports_blocking () =
   let s = C.sweep (Lazy.force rb_c2) ~k:1 ~seeds:100 () in
@@ -88,11 +100,15 @@ let test_2pc_sweep_reports_blocking () =
   Alcotest.(check bool) "atomicity violations absent" false
     (List.mem_assoc C.Atomicity s.C.violations_by_oracle);
   List.iter
-    (fun cx ->
-      Alcotest.(check bool)
-        (Fmt.str "seed %d shrunk to <= 2 faults" cx.C.cx_seed)
-        true (cx.C.cx_shrunk_faults <= 2))
-    s.C.counterexamples
+    (fun (f : _ Engine.Harness.failing) ->
+      Option.iter
+        (fun (cx : _ Engine.Harness.counterexample) ->
+          Alcotest.(check bool)
+            (Fmt.str "seed %d shrunk to <= 2 faults" f.seed)
+            true
+            (FP.fault_count cx.cx_plan <= 2))
+        f.shrunk)
+    s.C.failing
 
 (* ---------------- duplicate-delivery idempotence ---------------- *)
 
@@ -148,13 +164,15 @@ let test_kv_2pc_blocks_and_shrinks () =
   Alcotest.(check bool) "atomicity still holds" false
     (kv_has Kv.Chaos_db.Atomicity o.Kv.Chaos_db.violations);
   let minimal, _ =
-    Kv.Chaos_db.shrink
-      ~config:{ Kv.Chaos_db.default_config with Kv.Db.protocol = Kv.Node.Two_phase }
-      ~seed:15
-      ~oracle:Kv.Chaos_db.Progress o.Kv.Chaos_db.schedule
+    Engine.Harness.shrink
+      (Kv.Chaos_db.harness
+         ~config:{ Kv.Chaos_db.default_config with Kv.Db.protocol = Kv.Node.Two_phase }
+         ())
+      ~seed:15 ~oracle:Kv.Chaos_db.Progress
+      (FP.of_schedule o.Kv.Chaos_db.schedule)
   in
-  Alcotest.(check int) "one fault suffices" 1 (List.length minimal);
-  match minimal with
+  Alcotest.(check int) "one fault suffices" 1 (FP.fault_count minimal);
+  match FP.to_schedule minimal with
   | [ Sim.Nemesis.Crash _ ] -> ()
   | other -> Alcotest.failf "expected a single crash, got %s" (Sim.Nemesis.to_string other)
 

@@ -199,8 +199,9 @@ let test_fencing_ablation_pinned () =
 let test_fencing_counterexample_shrinks_and_replays () =
   let minimal, _runs =
     let rb = Lazy.force rb_c4 in
-    C.shrink ~config:(config ~fencing:false rb) rb ~seed:1 ~oracle:C.Atomicity
-      (plan_of fencing_pinned)
+    Engine.Harness.shrink
+      (C.harness ~config:(config ~fencing:false rb) rb)
+      ~seed:1 ~oracle:C.Atomicity (plan_of fencing_pinned)
   in
   (* all three faults are load-bearing: drop any one and the split heals *)
   Alcotest.(check int) "three faults are minimal" 3 (FP.fault_count minimal);
@@ -210,7 +211,7 @@ let test_fencing_counterexample_shrinks_and_replays () =
 
 (* ---------------- the database harness under the detector ---------------- *)
 
-let kv_safety_violations (s : Kv.Chaos_db.summary) =
+let kv_safety_violations (s : Kv.Chaos_db.oracle Kv.Chaos_db.summary) =
   List.filter
     (fun (o, _) ->
       match o with

@@ -69,7 +69,9 @@ let test_late_force_found_and_shrunk_by_sweep () =
   let seed, plan = first_breach 0 in
   Alcotest.(check int) "seed 34 is the first breach" 34 seed;
   let minimal, _runs =
-    C.shrink ~config:(late_force ()) (Lazy.force rb_c3) ~seed ~oracle:C.Durability plan
+    Engine.Harness.shrink
+      (C.harness ~config:(late_force ()) (Lazy.force rb_c3))
+      ~seed ~oracle:C.Durability plan
   in
   Alcotest.(check bool) "shrunk to at most 2 faults" true (FP.fault_count minimal <= 2);
   let reloaded = FP.of_string_exn (FP.to_string minimal) in

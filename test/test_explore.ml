@@ -58,7 +58,7 @@ let prop_mutate_stays_in_families =
     (fun (seed, steps) ->
       List.for_all
         (fun protocol ->
-          let families = E.protocol_families ~protocol in
+          let families = Engine.Harness.protocol_families ~protocol in
           let rng = Sim.Rng.create ~seed in
           let p = ref FP.none in
           for _ = 1 to steps do
@@ -75,7 +75,7 @@ let prop_splice_draws_from_parents =
     (fun (s1, s2, s3) ->
       let grow seed =
         let rng = Sim.Rng.create ~seed in
-        let families = E.protocol_families ~protocol:"central-3pc" in
+        let families = Engine.Harness.protocol_families ~protocol:"central-3pc" in
         let p = ref FP.none in
         for _ = 1 to 6 do
           p := E.mutate rng ~n_sites:3 ~horizon:300.0 ~families !p
@@ -95,7 +95,7 @@ let prop_splice_draws_from_parents =
 (* ---------------- search determinism + rediscovery ---------------- *)
 
 let engine_2pc () =
-  E.engine_harness ~k:1 (Engine.Rulebook.compile (Core.Catalog.central_2pc 3))
+  Engine.Chaos.harness ~k:1 (Engine.Rulebook.compile (Core.Catalog.central_2pc 3))
 
 let test_search_rediscovers_wedge_and_is_worker_invariant () =
   (* one guided search at the smoke budget must rediscover the pinned
@@ -149,7 +149,7 @@ let test_corpus_save_load_round_trip () =
   if r.E.violating_runs > 0 then begin
     let reports = E.replay (engine_2pc ()) (List.map snd loaded) in
     Alcotest.(check bool) "replay reproduces a violation" true
-      (List.exists (fun (_, (rep : E.report)) -> rep.E.violations <> []) reports)
+      (List.exists (fun (_, violations) -> violations <> []) reports)
   end
 
 (* ---------------- pinned wedge regressions ---------------- *)

@@ -7,7 +7,7 @@
 
 module C = Engine.Chaos
 module KC = Kv.Chaos_db
-module E = Engine.Explore
+module H = Engine.Harness
 module FP = Engine.Failure_plan
 module R = Engine.Runtime
 
@@ -76,16 +76,16 @@ let test_kv_tracing_is_observation_only () =
 
 let test_random_plan_is_the_chaos_plan () =
   let rb = Lazy.force rb_c3 in
-  let engine = E.engine_harness rb in
+  let engine = C.harness rb in
   let kv = KC.harness ~config:(kv_config Kv.Node.Three_phase) () in
   for seed = 0 to 99 do
     Alcotest.check plan
       (Fmt.str "engine seed %d" seed)
-      (C.run_one rb ~k:1 ~seed ()).C.plan (engine.E.random_plan ~seed);
+      (C.run_one rb ~k:1 ~seed ()).C.plan (engine.H.plan_of_seed ~seed);
     Alcotest.check plan
       (Fmt.str "kv seed %d" seed)
       (FP.of_schedule (KC.run_one ~k:1 ~seed ()).KC.schedule)
-      (kv.E.random_plan ~seed)
+      (kv.H.plan_of_seed ~seed)
   done
 
 let test_kv_harness_finds_the_2pc_wedge () =
@@ -94,11 +94,11 @@ let test_kv_harness_finds_the_2pc_wedge () =
      transaction crashes for good *)
   let h = KC.harness ~config:(kv_config Kv.Node.Two_phase) () in
   let wedge = FP.of_string_exn "crash site=4 at=24" in
-  let report = h.E.run ~seed:15 wedge in
+  let _, violations = h.H.run ~seed:15 wedge in
   Alcotest.(check (list string))
     "trips progress only" [ "progress" ]
-    (List.map fst report.E.violations);
-  let shrunk, _ = h.E.shrink ~seed:15 ~oracle:"progress" wedge in
+    (List.map (fun (o, _) -> KC.oracle_name o) violations);
+  let shrunk, _ = H.shrink h ~seed:15 ~oracle:KC.Progress wedge in
   Alcotest.(check int) "stays one fault" 1 (FP.fault_count shrunk);
   Alcotest.check plan "stays the same crash" wedge shrunk
 
@@ -109,21 +109,18 @@ let test_engine_harness_takes_its_config () =
      must not. *)
   let rb = Lazy.force rb_c3 in
   let breach = FP.of_string_exn "step-crash site=2 step=0 mode=after-logging:1" in
-  let late = E.engine_harness ~config:{ (C.default_config rb) with R.late_force = true } rb in
-  Alcotest.(check bool)
-    "late force: durability" true
-    (List.mem_assoc "durability" (late.E.run ~seed:7 breach).E.violations);
+  let late = C.harness ~config:{ (C.default_config rb) with R.late_force = true } rb in
+  let durability (h : (R.result, C.oracle) H.t) plan =
+    List.mem_assoc C.Durability (snd (h.run ~seed:7 plan))
+  in
+  Alcotest.(check bool) "late force: durability" true (durability late breach);
   (* a late, irrelevant crash the shrinker can only drop if it too runs
      under the late-force config *)
   let padded = FP.of_string_exn "step-crash site=2 step=0 mode=after-logging:1; crash site=3 at=900" in
-  Alcotest.(check bool)
-    "late force, padded: durability" true
-    (List.mem_assoc "durability" (late.E.run ~seed:7 padded).E.violations);
-  let shrunk, _ = late.E.shrink ~seed:7 ~oracle:"durability" padded in
+  Alcotest.(check bool) "late force, padded: durability" true (durability late padded);
+  let shrunk, _ = H.shrink late ~seed:7 ~oracle:C.Durability padded in
   Alcotest.check plan "late force: shrinks to the breach" breach shrunk;
-  Alcotest.(check bool)
-    "default: no durability breach" false
-    (List.mem_assoc "durability" ((E.engine_harness rb).E.run ~seed:7 breach).E.violations)
+  Alcotest.(check bool) "default: no durability breach" false (durability (C.harness rb) breach)
 
 let suite =
   [

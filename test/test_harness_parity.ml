@@ -9,6 +9,7 @@
 module C = Engine.Chaos
 module KC = Kv.Chaos_db
 module E = Engine.Explore
+module H = Engine.Harness
 module FP = Engine.Failure_plan
 module R = Engine.Runtime
 
@@ -21,19 +22,21 @@ let metrics_json m = Sim.Json.to_string (Sim.Metrics.to_json ~drop_wall:true m)
    each seed's own run registry (WAL appends and forces, messages,
    decision latencies) is digested too: that is where presumption,
    read-only sites and group commit show. *)
-let engine_digest (s : C.summary) (runs : C.run_outcome list) =
+let engine_digest (s : C.oracle C.summary) (runs : C.run_outcome list) =
   let by_oracle =
     String.concat ","
       (List.map (fun (o, c) -> Printf.sprintf "%s=%d" (C.oracle_name o) c) s.C.violations_by_oracle)
   in
   let cxs =
     String.concat "|"
-      (List.map
-         (fun (cx : C.counterexample) ->
-           Printf.sprintf "%d:%s:%s:%d:%d" cx.C.cx_seed
-             (C.oracle_name cx.C.cx_violation.C.oracle)
-             (FP.to_string cx.C.cx_plan) cx.C.cx_shrink_runs (List.length cx.C.cx_trace))
-         s.C.counterexamples)
+      (List.filter_map
+         (fun (f : C.oracle H.failing) ->
+           Option.map
+             (fun (cx : C.oracle H.counterexample) ->
+               Printf.sprintf "%d:%s:%s:%d:%d" f.seed (C.oracle_name cx.cx_oracle)
+                 (FP.to_string cx.cx_plan) cx.cx_shrink_runs (List.length cx.cx_trace))
+             f.shrunk)
+         s.C.failing)
   in
   let per_seed =
     List.map (fun (o : C.run_outcome) -> metrics_json o.C.result.R.run_metrics) runs
@@ -78,7 +81,7 @@ let engine_cases =
 
 (* ---------------- kv sweeps: n = 4, 20 seeds ---------------- *)
 
-let kv_digest (s : KC.summary) =
+let kv_digest (s : KC.oracle KC.summary) =
   let by_oracle =
     String.concat ","
       (List.map
@@ -88,10 +91,11 @@ let kv_digest (s : KC.summary) =
   let failing =
     String.concat "|"
       (List.map
-         (fun (seed, vs, shrunk) ->
-           Printf.sprintf "%d:%s:%s" seed
-             (String.concat "," (List.map (fun (v : KC.violation) -> KC.oracle_name v.oracle) vs))
-             (Sim.Nemesis.to_string shrunk))
+         (fun (f : KC.oracle H.failing) ->
+           let shrunk = match f.shrunk with Some cx -> cx.cx_plan | None -> f.plan in
+           Printf.sprintf "%d:%s:%s" f.seed
+             (String.concat "," (List.map (fun (o, _) -> KC.oracle_name o) f.violations))
+             (Sim.Nemesis.to_string (FP.to_schedule shrunk)))
          s.KC.failing)
   in
   digest (String.concat "\n" [ by_oracle; failing; metrics_json s.KC.metrics ])
@@ -140,15 +144,11 @@ let paxos_case ~n_sites ~f ~k expected =
   ( Printf.sprintf "n=%d f=%d k=%d" n_sites f k,
     expected,
     fun () ->
-      let s = Engine.Paxos.sweep ~n_sites ~f ~k ~seeds:50 () in
+      let h = Engine.Paxos.harness ~k (Engine.Paxos.config ~n_sites ~f ()) in
+      let s = H.sweep h ~seeds:50 in
       paxos_digest
-        (List.map
-           (fun (seed, vs, plan) ->
-             (seed, List.map (fun (v : C.violation) -> (v.C.oracle, v.C.detail)) vs, plan))
-           s.Engine.Paxos.ps_failing)
-        (List.init 50 (fun seed ->
-             (Engine.Paxos.run_one ~n_sites ~f ~k ~seed ()).Engine.Paxos.ro_result.R.run_metrics))
-  )
+        (List.map (fun (f : C.oracle H.failing) -> (f.seed, f.violations, f.plan)) s.failing)
+        (List.init 50 (fun seed -> (fst (h.run ~seed (h.plan_of_seed ~seed))).R.run_metrics)) )
 
 let paxos_cases =
   [ paxos_case ~n_sites:5 ~f:1 ~k:2 "a27e3ecfec443e65a8cba83c496191e5"; paxos_case ~n_sites:4 ~f:1 ~k:1 "220f01d526dfd605d6e2034ba1897fb9" ]
@@ -172,7 +172,7 @@ let explore_cases =
       "dc0410fe2ea26646f26773bf456a1a19",
       fun () ->
         E.search
-          (E.engine_harness ~k:1 (Engine.Rulebook.compile (Core.Catalog.central_2pc 3)))
+          (C.harness ~k:1 (Engine.Rulebook.compile (Core.Catalog.central_2pc 3)))
           ~mode:`Guided ~budget:48 () );
     ( "kv 2PC n=4",
       "3980028c08cd23eee3d238c192d43b21",

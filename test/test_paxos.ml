@@ -131,27 +131,17 @@ let test_ballots_never_reuse_epoch_site () =
 
 (* ---------------- chaos sweep: the five oracles hold ---------------- *)
 
-let acceptor_profile =
-  {
-    KC.default_profile with
-    Sim.Nemesis.p_acceptor_crash = 0.5;
-    acceptor_sites = [ 1; 2; 3 ];
-    max_acceptor_crashes = 1;
-    p_lease_fault = 0.3;
-  }
-
 let test_paxos_sweep_clean () =
   let s =
-    KC.sweep ~profile:acceptor_profile ~protocol:(KN.Paxos 1) ~n_sites:4 ~k:1 ~seeds:50 ()
+    KC.sweep ~profile:(KC.paxos_profile ~f:1) ~protocol:(KN.Paxos 1) ~n_sites:4 ~k:1 ~seeds:50 ()
   in
   Alcotest.(check int) "all seeds ran" 50 s.KC.seeds_run;
   match s.KC.failing with
   | [] -> ()
-  | (seed, vs, plan) :: _ ->
-      Alcotest.failf "seed %d violates %a under %s" seed
-        (Fmt.list ~sep:Fmt.comma KC.pp_violation)
-        vs
-        (Engine.Failure_plan.to_string (Engine.Failure_plan.of_schedule plan))
+  | f :: _ ->
+      Alcotest.failf "seed %d violates %s under %s" f.seed
+        (String.concat ", " (List.map (fun (o, _) -> KC.oracle_name o) f.violations))
+        (Engine.Failure_plan.to_string f.plan)
 
 (* ================= engine harness: vote-level Paxos Commit ================= *)
 
@@ -265,15 +255,27 @@ let test_engine_family_validation () =
   Alcotest.(check int) "move-crash rejected under paxos" 1
     (List.length (FP.unsupported_clauses ~protocol:"paxos-commit" mv))
 
+let paxos_harness () = EP.harness ~k:1 (EP.config ~n_sites:4 ~f:1 ())
+
 let test_engine_sweep_clean () =
-  let s = EP.sweep ~n_sites:4 ~f:1 ~k:1 ~seeds:50 () in
-  Alcotest.(check int) "all seeds ran" 50 s.EP.ps_seeds_run;
-  match s.EP.ps_failing with
+  let s = Engine.Harness.sweep (paxos_harness ()) ~seeds:50 in
+  Alcotest.(check int) "all seeds ran" 50 s.seeds_run;
+  match s.failing with
   | [] -> ()
-  | (seed, vs, plan) :: _ ->
-      Alcotest.failf "seed %d violates %a under %s" seed
-        (Fmt.list ~sep:Fmt.comma EC.pp_violation)
-        vs (FP.to_string plan)
+  | f :: _ ->
+      Alcotest.failf "seed %d violates %s under %s" f.seed
+        (String.concat ", " (List.map (fun (o, _) -> EC.oracle_name o) f.violations))
+        (FP.to_string f.plan)
+
+(* the sweep shards across domains without changing a byte of its
+   summary: failing seeds, verdict counts, deterministic metrics *)
+let test_engine_sweep_workers_unobservable () =
+  let render (s : EC.oracle Engine.Harness.summary) =
+    Marshal.to_string (s.seeds_run, s.failing, s.violations_by_oracle) [ Marshal.No_sharing ]
+    ^ Sim.Json.to_string (Sim.Metrics.to_json ~drop_wall:true s.metrics)
+  in
+  let sweep workers = render (Engine.Harness.sweep ~workers (paxos_harness ()) ~seeds:100) in
+  Alcotest.(check string) "workers=2 = workers=1" (sweep 1) (sweep 2)
 
 let suite =
   [
@@ -305,4 +307,6 @@ let suite =
       test_engine_ballots_unique_per_site;
     Alcotest.test_case "engine: plan family validation" `Quick test_engine_family_validation;
     Alcotest.test_case "engine: paxos chaos sweep clean (50 seeds)" `Slow test_engine_sweep_clean;
+    Alcotest.test_case "engine: paxos sweep at 2 workers = 1 worker (100 seeds)" `Slow
+      test_engine_sweep_workers_unobservable;
   ]

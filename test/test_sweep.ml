@@ -90,12 +90,13 @@ let engine_summary ~workers =
 
 let test_engine_sweep_workers_unobservable () =
   let seq = engine_summary ~workers:1 in
-  Alcotest.(check bool) "corpus has counterexamples" true (seq.C.counterexamples <> []);
+  Alcotest.(check bool) "corpus has counterexamples" true
+    (List.exists (fun (f : _ Engine.Harness.failing) -> f.shrunk <> None) seq.C.failing);
   let par = engine_summary ~workers:4 in
   Alcotest.(check bool) "violation counts" true
     (par.C.violations_by_oracle = seq.C.violations_by_oracle);
   Alcotest.(check bool) "counterexamples (plans, traces, shrink cost)" true
-    (par.C.counterexamples = seq.C.counterexamples);
+    (par.C.failing = seq.C.failing);
   Alcotest.(check string) "merged deterministic metrics"
     (det_json seq.C.metrics) (det_json par.C.metrics)
 
@@ -150,16 +151,16 @@ let repeated_parallel_sweeps_match ~render sweep =
 let test_engine_parallel_sweeps_repeat () =
   let rb = Engine.Rulebook.compile (Core.Catalog.central_3pc 3) in
   repeated_parallel_sweeps_match
-    ~render:(fun (s : C.summary) ->
+    ~render:(fun (s : C.oracle C.summary) ->
       Marshal.to_string
-        (s.C.seeds_run, s.C.counterexamples, s.C.violations_by_oracle)
+        (s.C.seeds_run, s.C.failing, s.C.violations_by_oracle)
         [ Marshal.No_sharing ]
       ^ det_json s.C.metrics)
     (fun ~workers -> C.sweep rb ~workers ~k:1 ~seeds:200 ())
 
 let test_kv_parallel_sweeps_repeat () =
   repeated_parallel_sweeps_match
-    ~render:(fun (s : KC.summary) ->
+    ~render:(fun (s : KC.oracle KC.summary) ->
       Marshal.to_string (s.KC.seeds_run, s.KC.failing, s.KC.violations_by_oracle)
         [ Marshal.No_sharing ]
       ^ det_json s.KC.metrics)
