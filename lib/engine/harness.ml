@@ -16,7 +16,9 @@ module N = Sim.Nemesis
 (* Clause families a mutation may add.  Partitions, message drops and
    disk faults are deliberately absent: they violate the paper's model,
    so a violation found through them would be an ablation finding, not
-   a protocol bug. *)
+   a protocol bug.  Mutations never introduce a family outside the
+   harness's list, which is what keeps [Failure_plan.unsupported_clauses]
+   empty across a whole search (property-tested). *)
 
 type family =
   | Step_crashes

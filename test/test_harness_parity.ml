@@ -1,6 +1,7 @@
 (** Pinned digests of whole chaos sweeps and guided explore searches on
-    the engine, kv and Paxos Commit harnesses, one per lever configuration: the verdict counts, the
-    shrunk plans or schedules and the deterministic metrics JSON
+    the engine, kv and Paxos Commit harnesses, one per lever
+    configuration: the verdict counts, the shrunk plans or schedules and
+    the deterministic metrics JSON
     ({!Sim.Metrics.to_json} [~drop_wall:true]); for the searches, the
     bug list and the feature count.  They pin what every lever does to
     a run, so a change to how the harnesses receive their configuration
@@ -126,7 +127,8 @@ let kv_cases =
 (* ---------------- Paxos Commit sweeps: 50 seeds ---------------- *)
 
 (* Every failing seed's verdicts and generated plan, then each seed's own
-   run registry: the Paxos sweep registry holds only run counts. *)
+   run registry: the Paxos sweep registry holds only run and verdict
+   counts. *)
 let paxos_digest failing per_seed =
   let failing =
     String.concat "|"
@@ -151,7 +153,10 @@ let paxos_case ~n_sites ~f ~k expected =
         (List.init 50 (fun seed -> (fst (h.run ~seed (h.plan_of_seed ~seed))).R.run_metrics)) )
 
 let paxos_cases =
-  [ paxos_case ~n_sites:5 ~f:1 ~k:2 "a27e3ecfec443e65a8cba83c496191e5"; paxos_case ~n_sites:4 ~f:1 ~k:1 "220f01d526dfd605d6e2034ba1897fb9" ]
+  [
+    paxos_case ~n_sites:5 ~f:1 ~k:2 "a27e3ecfec443e65a8cba83c496191e5";
+    paxos_case ~n_sites:4 ~f:1 ~k:1 "220f01d526dfd605d6e2034ba1897fb9";
+  ]
 
 (* ---------------- 48-run guided searches ---------------- *)
 
