@@ -708,7 +708,7 @@ let explore_cmd =
               Fmt.epr "skeen explore: no *.plan files under %s@." dir;
               exit 2
             end;
-            let verdicts = Engine.Explore.replay ~workers h (List.map snd entries) in
+            let verdicts = Engine.Harness.replay_all ~workers h (List.map snd entries) in
             let tripped = ref 0 in
             List.iter2
               (fun (name, _) (plan, vs) ->

@@ -371,5 +371,5 @@ type 'o summary = 'o Harness.summary = {
   metrics : Sim.Metrics.t;
 }
 
-let sweep ?profile ?config ?seed_base ?max_counterexamples ?workers rulebook ~k ~seeds () =
-  Harness.sweep ?seed_base ?max_counterexamples ?workers (harness ?config ?profile ~k rulebook) ~seeds
+let sweep ?profile ?config ?seed_base ?workers rulebook ~k ~seeds () =
+  Harness.sweep ?seed_base ?workers (harness ?config ?profile ~k rulebook) ~seeds

@@ -126,7 +126,6 @@ val sweep :
   ?profile:Sim.Nemesis.profile ->
   ?config:Runtime.config ->
   ?seed_base:int ->
-  ?max_counterexamples:int ->
   ?workers:int ->
   Rulebook.t ->
   k:int ->

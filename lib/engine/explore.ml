@@ -310,13 +310,6 @@ let search ?(workers = 1) ?(batch = 16) ?(max_shrunk = 4) ?(seed = 0) ?(initial 
     bugs = List.rev !bugs;
   }
 
-let replay ?(workers = 1) (harness : (_, _) Harness.t) plans =
-  let arr = Array.of_list plans in
-  let verdicts =
-    Sim.Sweep.map ~workers ~seeds:(Array.length arr) (fun ~seed -> snd (harness.run ~seed arr.(seed)))
-  in
-  List.mapi (fun i plan -> (plan, verdicts.(i))) plans
-
 (* ------------------------------------------------------------------ *)
 (* Corpus persistence: one [Failure_plan.to_string] per file, so every
    entry pastes straight into a regression test or `skeen chaos

@@ -72,14 +72,6 @@ val search :
     [max_shrunk] (default 4) distinct violations are shrunk with
     {!Harness.shrink}; [progress] fires after each batch. *)
 
-val replay :
-  ?workers:int ->
-  ('r, 'o) Harness.t ->
-  Failure_plan.t list ->
-  (Failure_plan.t * ('o * string) list) list
-(** Run each plan once (seed = list index) and return its violations —
-    corpus regression replay. *)
-
 val save_corpus : dir:string -> result -> unit
 (** Write the corpus as [NNN.plan] files (admission order) plus
     [bug-<i>-<oracle>.plan] shrunk violations — each one line of

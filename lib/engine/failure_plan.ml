@@ -488,8 +488,12 @@ let of_string s = match of_string_exn s with p -> Ok p | exception Parse_error m
    Paxos Commit's replicated coordinator, and decide-crashes need either
    (both broadcast a decision from an elected backup/leader). *)
 
+(* A catalog label ("central-3pc") or a compiled protocol's name, which
+   appends the site count ("central-3pc-3"). *)
 let is_3pc protocol =
-  match protocol with "central-3pc" | "decentralized-3pc" -> true | _ -> false
+  List.exists
+    (fun label -> protocol = label || String.starts_with ~prefix:(label ^ "-") protocol)
+    [ "central-3pc"; "decentralized-3pc" ]
 
 let is_paxos protocol =
   String.length protocol >= 5 && String.sub protocol 0 5 = "paxos"

@@ -143,6 +143,13 @@ val of_string_exn : string -> t
 (** As {!of_string} but raising {!Parse_error} — for pinned plans in
     tests where a parse failure is itself the test failure. *)
 
+val is_3pc : string -> bool
+val is_paxos : string -> bool
+(** Whether a protocol, named by its catalog label ([central-3pc]) or
+    its compiled name ([central-3pc-3]), is a 3PC protocol or Paxos
+    Commit: the families {!unsupported_clauses} and
+    {!Harness.protocol_families} gate clauses on. *)
+
 val unsupported_clauses : protocol:string -> t -> string list
 (** Clauses the named protocol family cannot execute, one human-readable
     message each: [move-crash] needs a 3PC protocol, [decide-crash]

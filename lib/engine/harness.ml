@@ -36,8 +36,7 @@ type family =
 [@@deriving show { with_path = false }, eq]
 
 let protocol_families ~protocol =
-  let is_3pc = protocol = "central-3pc" || protocol = "decentralized-3pc" in
-  let is_paxos = String.length protocol >= 5 && String.sub protocol 0 5 = "paxos" in
+  let is_3pc = Failure_plan.is_3pc protocol and is_paxos = Failure_plan.is_paxos protocol in
   [ Step_crashes; Timed_crashes; Recoveries; Msg_faults; Delay_spikes; Stalls; Hb_losses; Storms ]
   @ (if is_3pc then [ Move_crashes; Decide_crashes ] else [])
   @ if is_paxos then [ Decide_crashes; Acceptor_crashes; Lease_faults ] else []
@@ -59,6 +58,13 @@ type ('r, 'o) t = {
 }
 
 let replay h ~seed plan = h.run ~tracing:true ~seed plan
+
+let replay_all ?(workers = 1) h plans =
+  let arr = Array.of_list plans in
+  let verdicts =
+    Sim.Sweep.map ~workers ~seeds:(Array.length arr) (fun ~seed -> snd (h.run ~seed arr.(seed)))
+  in
+  List.mapi (fun i plan -> (plan, verdicts.(i))) plans
 
 (* ---------------- shrinking ---------------- *)
 
@@ -173,7 +179,10 @@ let tally xs =
     [] (List.sort compare xs)
   |> List.rev
 
-let sweep ?(seed_base = 0) ?(max_counterexamples = 5) ?(workers = 1) h ~seeds =
+(* Failing seeds past this many are listed but not shrunk. *)
+let max_counterexamples = 5
+
+let sweep ?(seed_base = 0) ?(workers = 1) h ~seeds =
   (* Phase 1, sharded across domains: each seed runs in full isolation
      (its own World, Metrics registry and Rng stream), and only a failing
      seed's plan and verdicts outlive its run. *)

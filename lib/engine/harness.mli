@@ -60,6 +60,12 @@ type ('r, 'o) t = {
 val replay : ('r, 'o) t -> seed:int -> Failure_plan.t -> 'r * ('o * string) list
 (** One traced run. *)
 
+val replay_all :
+  ?workers:int -> ('r, 'o) t -> Failure_plan.t list -> (Failure_plan.t * ('o * string) list) list
+(** Run each plan once, untraced, with seed = its list index, sharded
+    across [workers] domains (default 1), and return its violations: the
+    regression check of an explore corpus ([skeen explore --replay]). *)
+
 val shrink : ('r, 'o) t -> seed:int -> oracle:'o -> Failure_plan.t -> Failure_plan.t * int
 (** Greedy minimisation over [Failure_plan.to_schedule plan]: try every
     single-fault removal, then, fault by fault, one fewer storm wave and
@@ -78,7 +84,7 @@ type 'o failing = {
   seed : int;
   plan : Failure_plan.t;  (** as the seed drew it *)
   violations : ('o * string) list;
-  shrunk : 'o counterexample option;  (** for the first [max_counterexamples] failing seeds *)
+  shrunk : 'o counterexample option;  (** for the first five failing seeds *)
 }
 
 type 'o summary = {
@@ -92,13 +98,13 @@ type 'o summary = {
 }
 
 val sweep :
-  ?seed_base:int -> ?max_counterexamples:int -> ?workers:int -> ('r, 'o) t -> seeds:int -> 'o summary
+  ?seed_base:int -> ?workers:int -> ('r, 'o) t -> seeds:int -> 'o summary
 (** Run seeds [seed_base .. seed_base + seeds - 1] (default base 0) on
     [plan_of_seed], sharded across [workers] domains (default 1) via
     {!Sim.Sweep}; only a failing seed's plan and verdicts outlive its
-    run.  Then, in seed order, shrink the first [max_counterexamples]
-    (default 5) failing seeds against their first violation and replay
-    each minimal plan once, traced.  The summary, and the deterministic
+    run.  Then, in seed order, shrink the first five failing seeds
+    against their first violation and replay each minimal plan once,
+    traced.  The summary, and the deterministic
     projection of [metrics] ({!Sim.Metrics.to_json} [~drop_wall:true]),
     are byte-identical whatever the worker count. *)
 

@@ -386,7 +386,7 @@ type 'o summary = 'o Engine.Harness.summary = {
 }
 
 let sweep ?profile ?(config = default_config) ?(protocol = config.Db.protocol)
-    ?(n_sites = config.Db.n_sites) ?seed_base ?max_counterexamples ?workers ~k ~seeds () =
-  Engine.Harness.sweep ?seed_base ?max_counterexamples ?workers
+    ?(n_sites = config.Db.n_sites) ?seed_base ?workers ~k ~seeds () =
+  Engine.Harness.sweep ?seed_base ?workers
     (harness ~config:{ config with Db.protocol; n_sites } ?profile ~k ())
     ~seeds

@@ -135,7 +135,6 @@ val sweep :
   ?protocol:Node.protocol ->
   ?n_sites:int ->
   ?seed_base:int ->
-  ?max_counterexamples:int ->
   ?workers:int ->
   k:int ->
   seeds:int ->

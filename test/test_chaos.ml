@@ -87,11 +87,15 @@ let test_shrunk_plan_replays_through_text () =
       ~config:{ Kv.Chaos_db.default_config with Kv.Db.protocol = Kv.Node.Two_phase }
       ()
   in
-  let wedge = FP.of_string_exn "crash site=4 at=24" in
-  let _, violations = kv.run ~seed:15 (FP.of_string_exn (FP.to_string wedge)) in
-  Alcotest.(check (list string))
-    "kv 2PC wedge trips progress through text" [ "progress" ]
-    (List.map (fun (o, _) -> Kv.Chaos_db.oracle_name o) violations)
+  let shrunk, _ =
+    Engine.Harness.shrink kv ~seed:15 ~oracle:Kv.Chaos_db.Progress (kv.plan_of_seed ~seed:15)
+  in
+  let text = FP.to_string shrunk in
+  Alcotest.(check string) "kv 2PC wedge prints as plan text" "crash site=4 at=24" text;
+  let _, violations = kv.run ~seed:15 (FP.of_string_exn text) in
+  Alcotest.(check bool)
+    "kv 2PC wedge trips progress through text" true
+    (List.mem_assoc Kv.Chaos_db.Progress violations)
 
 let test_2pc_sweep_reports_blocking () =
   let s = C.sweep (Lazy.force rb_c2) ~k:1 ~seeds:100 () in

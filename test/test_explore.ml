@@ -67,6 +67,18 @@ let prop_mutate_stays_in_families =
           FP.unsupported_clauses ~protocol !p = [])
         [ "central-2pc"; "central-3pc"; "paxos-commit" ])
 
+let test_engine_3pc_harness_adds_termination_crashes () =
+  (* the engine harness names its protocol by the compiled name
+     ("central-3pc-3"); guided search must still add the clauses only
+     3PC runs *)
+  let families =
+    (Engine.Chaos.harness (Engine.Rulebook.compile (Core.Catalog.central_3pc 3))).Engine.Harness.families
+  in
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) (Fmt.str "%a" Engine.Harness.pp_family f) true (List.mem f families))
+    [ Engine.Harness.Move_crashes; Decide_crashes ]
+
 let prop_splice_draws_from_parents =
   (* crossover never invents a fault: every clause of the child appears
      in one of the parents (checked on the families text renders through) *)
@@ -147,7 +159,7 @@ let test_corpus_save_load_round_trip () =
   (* replay of the persisted corpus must reproduce at least one violation
      iff the search saw one *)
   if r.E.violating_runs > 0 then begin
-    let reports = E.replay (engine_2pc ()) (List.map snd loaded) in
+    let reports = Engine.Harness.replay_all (engine_2pc ()) (List.map snd loaded) in
     Alcotest.(check bool) "replay reproduces a violation" true
       (List.exists (fun (_, violations) -> violations <> []) reports)
   end
@@ -197,6 +209,8 @@ let suite =
     prop_bucket_total_and_monotone;
     prop_mutate_stays_in_families;
     prop_splice_draws_from_parents;
+    Alcotest.test_case "engine 3PC harness adds move/decide crashes" `Quick
+      test_engine_3pc_harness_adds_termination_crashes;
     Alcotest.test_case "guided search: worker-invariant, rediscovers the 2PC wedge" `Slow
       test_search_rediscovers_wedge_and_is_worker_invariant;
     Alcotest.test_case "corpus save/load round trip" `Quick test_corpus_save_load_round_trip;

@@ -88,6 +88,38 @@ let test_random_plan_is_the_chaos_plan () =
       (kv.H.plan_of_seed ~seed)
   done
 
+let test_kv_harness_runs_what_run_one_runs () =
+  (* the kv harness runs [to_schedule (of_schedule s)], which may reorder
+     the seed's schedule; the run must not notice *)
+  let storms = { (KC.paxos_profile ~f:1) with Sim.Nemesis.p_storm = 0.7 } in
+  let reordered = ref 0 in
+  List.iter
+    (fun (label, config, profile) ->
+      let h = KC.harness ~config ~profile () in
+      for seed = 0 to 199 do
+        let show (r : Kv.Db.result) violations =
+          Fmt.str "committed=%d aborted=%d messages=%d violations=%s %s" r.Kv.Db.committed
+            r.Kv.Db.aborted r.Kv.Db.messages_sent
+            (String.concat "," (List.map (fun (o, d) -> KC.oracle_name o ^ ":" ^ d) violations))
+            (metrics_json r.Kv.Db.run_metrics)
+        in
+        let o = KC.run_one ~profile ~config ~k:1 ~seed () in
+        let plan = h.H.plan_of_seed ~seed in
+        if FP.to_schedule plan <> o.KC.schedule then incr reordered;
+        let r, violations = h.H.run ~seed plan in
+        Alcotest.(check string)
+          (Fmt.str "%s seed %d" label seed)
+          (show o.KC.result (List.map (fun v -> (v.KC.oracle, v.KC.detail)) o.KC.violations))
+          (show r violations)
+      done)
+    [
+      ("2pc", kv_config Kv.Node.Two_phase, KC.default_profile);
+      ("3pc", kv_config Kv.Node.Three_phase, KC.default_profile);
+      ("paxos f=1, storms", kv_config (Kv.Node.Paxos 1), storms);
+      ("3pc detector", { KC.default_config with Kv.Db.detector = true }, detector_profile);
+    ];
+  Alcotest.(check bool) "some schedules were reordered" true (!reordered > 0)
+
 let test_kv_harness_finds_the_2pc_wedge () =
   (* what `skeen explore --kv --protocol central-2pc -n 4 --budget 48`
      finds at run 15 (so under seed 15): the coordinator of a prepared
@@ -132,6 +164,8 @@ let suite =
       test_kv_tracing_is_observation_only;
     Alcotest.test_case "random_plan is the plan run_one draws" `Quick
       test_random_plan_is_the_chaos_plan;
+    Alcotest.test_case "kv harness: runs what run_one runs (seeds 0-199)" `Slow
+      test_kv_harness_runs_what_run_one_runs;
     Alcotest.test_case "kv harness: pinned 2PC wedge trips progress, shrinks to itself" `Quick
       test_kv_harness_finds_the_2pc_wedge;
     Alcotest.test_case "engine harness: late-force config reaches run and shrink" `Quick
